@@ -52,6 +52,7 @@ pub mod grow;
 pub mod learn;
 pub mod model;
 pub mod multiclass;
+pub mod ndjson;
 pub mod nphase;
 pub mod params;
 pub mod pphase;

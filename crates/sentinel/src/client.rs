@@ -7,9 +7,10 @@
 //! briefly restarting does not kill the monitor.
 
 use crate::stats::{parse_stats, StatsSnapshot};
+use pnr_core::ndjson::write_line;
 use pnr_core::retry::{self, Backoff, RetryError};
 use serde::Content;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::Path;
 use std::time::Duration;
@@ -70,7 +71,7 @@ impl DaemonClient {
 
     /// Sends one line, reads one reply line.
     fn roundtrip(&mut self, line: &str) -> Result<String, String> {
-        writeln!(self.writer, "{line}").map_err(|e| format!("write failed: {e}"))?;
+        write_line(&mut self.writer, line).map_err(|e| format!("write failed: {e}"))?;
         let mut buf = String::new();
         loop {
             match self.reader.read_line(&mut buf) {

@@ -18,7 +18,7 @@ use pnr_sentinel::{
 };
 use pnr_telemetry::TelemetrySink;
 use serde::Content;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -110,7 +110,7 @@ impl Traffic {
     }
 
     fn request(&mut self, line: &str) -> Content {
-        writeln!(self.writer, "{line}").unwrap();
+        pnr_core::ndjson::write_line(&mut self.writer, line).unwrap();
         let mut buf = String::new();
         self.reader.read_line(&mut buf).unwrap();
         assert!(!buf.is_empty(), "daemon closed the connection");

@@ -30,10 +30,10 @@
 //! 2 for usage errors.
 
 use pnr_kddsim::{row_fields, FaultInjector, ATTR_NAMES};
-use pnr_serve::protocol::render;
+use pnr_serve::protocol::{render, write_line};
 use pnr_serve::LatencyHistogram;
 use serde::Content;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -272,7 +272,7 @@ fn drive(opts: &RunOptions, mut injector: FaultInjector) -> Result<(), String> {
         ("cmd".to_string(), Content::Str("hello".to_string())),
         ("columns".to_string(), columns),
     ]));
-    writeln!(write_half, "{hello}").map_err(|e| format!("hello write failed: {e}"))?;
+    write_line(&mut write_half, &hello).map_err(|e| format!("hello write failed: {e}"))?;
     let reply = read_reply(&mut reader, Instant::now() + Duration::from_secs(10))?
         .ok_or("daemon closed the connection during hello")?;
     let parsed = serde_json::parse(&reply).map_err(|e| format!("bad hello reply: {e}"))?;
@@ -352,7 +352,7 @@ fn drive(opts: &RunOptions, mut injector: FaultInjector) -> Result<(), String> {
                 }
                 let line = render(Content::Map(entries));
                 lock(&send_times)[i] = Some(Instant::now());
-                if let Err(e) = writeln!(write_half, "{line}") {
+                if let Err(e) = write_line(&mut write_half, &line) {
                     return (*injector.census(), Err(format!("write failed: {e}")));
                 }
                 sent.fetch_add(1, Ordering::SeqCst);
@@ -362,19 +362,20 @@ fn drive(opts: &RunOptions, mut injector: FaultInjector) -> Result<(), String> {
                             ("cmd".to_string(), Content::Str("swap".to_string())),
                             ("path".to_string(), Content::Str(path.clone())),
                         ]));
-                        if let Err(e) = writeln!(write_half, "{swap_line}") {
+                        if let Err(e) = write_line(&mut write_half, &swap_line) {
                             return (*injector.census(), Err(format!("swap write failed: {e}")));
                         }
                     }
-                    if panic_mid_run && writeln!(write_half, "{{\"cmd\":\"panic\"}}").is_err() {
+                    if panic_mid_run && write_line(&mut write_half, "{\"cmd\":\"panic\"}").is_err()
+                    {
                         return (*injector.census(), Err("panic write failed".to_string()));
                     }
                 }
             }
-            if writeln!(write_half, "{{\"cmd\":\"stats\"}}").is_err() {
+            if write_line(&mut write_half, "{\"cmd\":\"stats\"}").is_err() {
                 return (*injector.census(), Err("stats write failed".to_string()));
             }
-            if shutdown && writeln!(write_half, "{{\"cmd\":\"shutdown\"}}").is_err() {
+            if shutdown && write_line(&mut write_half, "{\"cmd\":\"shutdown\"}").is_err() {
                 return (*injector.census(), Err("shutdown write failed".to_string()));
             }
             (*injector.census(), Ok(()))

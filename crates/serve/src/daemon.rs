@@ -25,7 +25,7 @@
 //! remembers the last *activated* artifact so a restart resumes it.
 
 use crate::pool::WorkerPool;
-use crate::protocol::{err_line, ok_line, parse_request, Request};
+use crate::protocol::{err_line, ok_line, parse_request, write_line, Request};
 use crate::queue::{BoundedQueue, PushError, PushOutcome, ShedPolicy};
 use crate::sink::ServeSink;
 use crate::state;
@@ -35,7 +35,7 @@ use pnr_core::{
 };
 use pnr_telemetry::{Counter, Span, SpanKind, TelemetrySink};
 use serde::Content;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -393,19 +393,20 @@ struct ConnState {
 }
 
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
-    if stream.set_read_timeout(Some(POLL)).is_err() {
+    // replies go out as soon as they are written, not after the client's
+    // delayed ACK of the previous segment
+    if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
-    let Ok(write_half) = stream.try_clone() else {
+    let Ok(mut write_half) = stream.try_clone() else {
         return;
     };
     let (tx, rx) = mpsc::channel::<String>();
     // Single writer thread per connection: worker responses and control
     // replies funnel through one channel, so wire writes never interleave.
     let writer = std::thread::spawn(move || {
-        let mut out = BufWriter::new(write_half);
         for line in rx {
-            if writeln!(out, "{line}").is_err() || out.flush().is_err() {
+            if write_line(&mut write_half, &line).is_err() {
                 break;
             }
         }
@@ -416,17 +417,12 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         map: None,
         map_epoch: 0,
     };
-    let mut buf = String::new();
+    // Raw bytes up to and including '\n': a read timeout may split a line
+    // (even inside a UTF-8 character), so only whole lines are decoded.
+    let mut buf = Vec::new();
     loop {
-        match reader.read_line(&mut buf) {
-            Ok(0) => break,
-            Ok(_) => {
-                let line = buf.trim().to_string();
-                if !line.is_empty() {
-                    handle_line(&line, &mut conn, &tx, &shared);
-                }
-                buf.clear();
-            }
+        let eof = match reader.read_until(b'\n', &mut buf) {
+            Ok(n) => n == 0,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -435,8 +431,30 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
+                continue;
             }
             Err(_) => break,
+        };
+        if !buf.is_empty() {
+            match std::str::from_utf8(&buf) {
+                Ok(text) => {
+                    let line = text.trim();
+                    if !line.is_empty() {
+                        handle_line(line, &mut conn, &tx, &shared);
+                    }
+                }
+                Err(e) => {
+                    let _ = tx.send(err_line(
+                        "bad_request",
+                        &format!("request line is not valid UTF-8: {e}"),
+                        Vec::new(),
+                    ));
+                }
+            }
+            buf.clear();
+        }
+        if eof {
+            break;
         }
     }
     drop(tx);

@@ -34,7 +34,7 @@ pub mod state;
 
 pub use daemon::{run, DaemonConfig};
 pub use pool::WorkerPool;
-pub use protocol::{err_line, ok_line, parse_request, Request};
+pub use protocol::{err_line, ok_line, parse_request, write_line, Request};
 pub use queue::{BoundedQueue, PopResult, PushError, PushOutcome, ShedPolicy};
 pub use sink::{LatencyHistogram, ServeSink};
 pub use state::{persist_active, read_active};

@@ -158,21 +158,25 @@ fn spawn_worker<T, W, P>(
     P: Fn(T, String) + Send + Sync + 'static,
 {
     let name = format!("pnr-serve-worker-{slot}");
+    // counted before the thread starts, so a respawned slot never reads
+    // as dead to a `stats` sent after the panic reply
+    alive.fetch_add(1, Ordering::SeqCst);
+    let gauge = alive.clone();
     let spawned = std::thread::Builder::new().name(name).spawn(move || {
-        alive.fetch_add(1, Ordering::SeqCst);
         loop {
             match queue.pop_timeout(IDLE_POLL) {
                 PopResult::TimedOut => continue,
                 PopResult::Closed => break,
                 PopResult::Item(job) => {
                     if let Err(msg) = panic_capture::run_caught(|| work(&job)) {
-                        // Answer the submitter, then hand this slot to a
-                        // fresh thread: the panicking stack dies here and
-                        // pool capacity stays constant.
-                        on_panic(job, msg);
+                        // Hand this slot to a fresh thread, then answer the
+                        // submitter, so whoever hears the panic reply sees
+                        // pool capacity already restored. The panicking
+                        // stack dies here.
                         respawns.fetch_add(1, Ordering::SeqCst);
                         alive.fetch_sub(1, Ordering::SeqCst);
-                        spawn_worker(slot, queue, work, on_panic, alive, respawns);
+                        spawn_worker(slot, queue, work, on_panic.clone(), alive, respawns);
+                        on_panic(job, msg);
                         return;
                     }
                 }
@@ -181,6 +185,7 @@ fn spawn_worker<T, W, P>(
         alive.fetch_sub(1, Ordering::SeqCst);
     });
     if spawned.is_err() {
+        gauge.fetch_sub(1, Ordering::SeqCst);
         // Thread spawn failed (resource exhaustion). The slot is lost but
         // the daemon keeps serving on the remaining workers; the alive
         // gauge makes the degradation visible in `stats`.

@@ -26,6 +26,10 @@
 
 use serde::Content;
 
+/// One write per line: the framing every NDJSON writer on this protocol
+/// uses (see [`pnr_core::ndjson`]).
+pub use pnr_core::ndjson::write_line;
+
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -72,45 +76,50 @@ pub enum Request {
 }
 
 /// Parses one request line. `Err` carries a human-readable reason the
-/// daemon wraps in a `bad_request` response.
+/// daemon wraps in a `bad_request` response. Row fields are moved out of
+/// the parsed tree, so a batch's text is held once, not twice.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let value = serde_json::parse(line).map_err(|e| format!("unparseable JSON: {e}"))?;
-    let cmd = match value.get("cmd") {
-        Some(Content::Str(s)) => s.clone(),
+    let mut entries = match value {
+        Content::Map(entries) => entries,
+        _ => Vec::new(),
+    };
+    let mut take = |key: &str| {
+        entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Content::Null))
+    };
+    let cmd = match take("cmd") {
+        Some(Content::Str(s)) => s,
         _ => return Err("missing string field `cmd`".to_string()),
     };
     match cmd.as_str() {
         "hello" => {
-            let columns = value
-                .get("columns")
-                .and_then(Content::as_seq)
-                .ok_or("`hello` needs a `columns` array")?
-                .iter()
-                .map(scalar_to_string)
-                .collect::<Result<Vec<String>, String>>()?;
+            let columns = match take("columns") {
+                Some(Content::Seq(columns)) => fields(columns)?,
+                _ => return Err("`hello` needs a `columns` array".to_string()),
+            };
             if columns.is_empty() {
                 return Err("`columns` must not be empty".to_string());
             }
             Ok(Request::Hello { columns })
         }
         "score" => {
-            let id = value.get("id").map(scalar_to_string).transpose()?;
-            let rows = value
-                .get("rows")
-                .and_then(Content::as_seq)
-                .ok_or("`score` needs a `rows` array")?
-                .iter()
-                .map(|row| {
-                    row.as_seq()
-                        .ok_or_else(|| "each row must be an array of fields".to_string())?
-                        .iter()
-                        .map(scalar_to_string)
-                        .collect::<Result<Vec<String>, String>>()
-                })
-                .collect::<Result<Vec<Vec<String>>, String>>()?;
-            let deadline_ms = match value.get("deadline_ms") {
+            let id = take("id").map(scalar_into_string).transpose()?;
+            let rows = match take("rows") {
+                Some(Content::Seq(rows)) => rows
+                    .into_iter()
+                    .map(|row| match row {
+                        Content::Seq(row) => fields(row),
+                        _ => Err("each row must be an array of fields".to_string()),
+                    })
+                    .collect::<Result<Vec<Vec<String>>, String>>()?,
+                _ => return Err("`score` needs a `rows` array".to_string()),
+            };
+            let deadline_ms = match take("deadline_ms") {
                 None | Some(Content::Null) => None,
-                Some(v) => Some(as_u64(v).ok_or("`deadline_ms` must be a non-negative integer")?),
+                Some(v) => Some(as_u64(&v).ok_or("`deadline_ms` must be a non-negative integer")?),
             };
             Ok(Request::Score {
                 id: id.unwrap_or_default(),
@@ -118,21 +127,19 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 deadline_ms,
             })
         }
-        "swap" => match value.get("path") {
-            Some(Content::Str(path)) if !path.is_empty() => {
-                Ok(Request::Swap { path: path.clone() })
-            }
+        "swap" => match take("path") {
+            Some(Content::Str(path)) if !path.is_empty() => Ok(Request::Swap { path }),
             _ => Err("`swap` needs a non-empty string `path`".to_string()),
         },
         "stats" => Ok(Request::Stats),
         "degrade" => {
-            let on = match value.get("on") {
-                Some(Content::Bool(b)) => *b,
+            let on = match take("on") {
+                Some(Content::Bool(b)) => b,
                 _ => return Err("`degrade` needs a boolean `on`".to_string()),
             };
-            let reason = match value.get("reason") {
+            let reason = match take("reason") {
                 None | Some(Content::Null) => String::new(),
-                Some(Content::Str(s)) => s.clone(),
+                Some(Content::Str(s)) => s,
                 _ => return Err("`reason` must be a string".to_string()),
             };
             Ok(Request::Degrade { on, reason })
@@ -140,8 +147,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "shutdown" => Ok(Request::Shutdown),
         "panic" => Ok(Request::Panic),
         "stall" => {
-            let ms = value
-                .get("ms")
+            let ms = take("ms")
+                .as_ref()
                 .and_then(as_u64)
                 .ok_or("`stall` needs a non-negative integer `ms`")?;
             Ok(Request::Stall { ms })
@@ -150,10 +157,16 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Renders a JSON scalar as a CSV-style field string.
-fn scalar_to_string(v: &Content) -> Result<String, String> {
+/// Converts a sequence of JSON scalars into CSV-style field strings.
+fn fields(values: Vec<Content>) -> Result<Vec<String>, String> {
+    values.into_iter().map(scalar_into_string).collect()
+}
+
+/// Renders a JSON scalar as a CSV-style field string; strings are moved,
+/// not copied.
+fn scalar_into_string(v: Content) -> Result<String, String> {
     match v {
-        Content::Str(s) => Ok(s.clone()),
+        Content::Str(s) => Ok(s),
         Content::U64(n) => Ok(n.to_string()),
         Content::I64(n) => Ok(n.to_string()),
         Content::F64(x) => Ok(x.to_string()),
@@ -301,6 +314,27 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn score_rows_keep_field_text_and_order() {
+        let req = parse_request(
+            "{\"rows\":[[\"é\",null,true,-4],[\"\\u00e9\"]],\"cmd\":\"score\",\"id\":\"q\"}",
+        )
+        .unwrap();
+        assert_eq!(
+            req,
+            Request::Score {
+                id: "q".to_string(),
+                rows: vec![vec!["é", "", "true", "-4"], vec!["é"]]
+                    .into_iter()
+                    .map(|r| r.into_iter().map(String::from).collect())
+                    .collect(),
+                deadline_ms: None,
+            }
+        );
+        assert!(parse_request("{\"cmd\":\"score\",\"rows\":[[[\"nested\"]]]}").is_err());
+        assert!(parse_request("[\"cmd\",\"stats\"]").is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pnr_daemon_{name}_{}", std::process::id()));
@@ -96,13 +96,19 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").unwrap();
+        pnr_serve::write_line(&mut self.writer, line).unwrap();
     }
 
-    fn recv(&mut self) -> Content {
+    /// Reads one reply line without parsing it.
+    fn recv_line(&mut self) -> String {
         let mut line = String::new();
         self.reader.read_line(&mut line).unwrap();
         assert!(!line.is_empty(), "daemon closed the connection");
+        line
+    }
+
+    fn recv(&mut self) -> Content {
+        let line = self.recv_line();
         serde_json::parse(line.trim()).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"))
     }
 
@@ -865,6 +871,107 @@ fn stats_schema_is_pinned_and_counters_are_monotone() {
 
     let reply = ctl.request("{\"cmd\":\"shutdown\"}");
     assert!(is_ok(&reply), "{reply:?}");
+    let (code, _) = daemon.wait();
+    assert_eq!(code, Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_deeply_nested_line_is_a_bad_request_not_a_crash() {
+    let dir = temp_dir("deepnest");
+    let a1 = make_artifact(&dir, "a1.artifact", 7);
+    let daemon = Daemon::start(&["--model", a1.to_str().unwrap(), "--workers", "2"]);
+    let data = pnr_kddsim::generate_train(100, 3);
+    let mut client = Client::connect(&daemon.addr);
+
+    // parsed on a connection thread's default-size stack
+    let reply = client.request(&"[".repeat(100_000));
+    assert!(!is_ok(&reply), "{reply:?}");
+    assert_eq!(jstr(&reply, "error"), "bad_request");
+    assert!(jstr(&reply, "detail").contains("nesting"), "{reply:?}");
+
+    // the same daemon, and the same connection, keep scoring
+    client.hello();
+    let reply = client.request(&Client::score_line(&data, 0, 4));
+    assert!(is_ok(&reply), "{reply:?}");
+    assert_eq!(ju64(&reply, "scored"), 4);
+
+    client.send("{\"cmd\":\"shutdown\"}");
+    let (code, _) = daemon.wait();
+    assert_eq!(code, Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_utf8_character_split_across_reads_gets_a_typed_reply() {
+    let dir = temp_dir("splitutf8");
+    let a1 = make_artifact(&dir, "a1.artifact", 7);
+    let daemon = Daemon::start(&["--model", a1.to_str().unwrap(), "--workers", "2"]);
+    let mut client = Client::connect(&daemon.addr);
+
+    // the first byte of `é` arrives, then the daemon's 100 ms read
+    // timeout fires (more than once) before the second byte does
+    client.writer.write_all(b"{\"cmd\":\"x\xc3").unwrap();
+    std::thread::sleep(Duration::from_millis(350));
+    client.writer.write_all(b"\xa9\"}\n").unwrap();
+    let reply = client.recv();
+    assert_eq!(jstr(&reply, "error"), "bad_request", "{reply:?}");
+    assert!(
+        jstr(&reply, "detail").contains("unknown cmd \"xé\""),
+        "{reply:?}"
+    );
+
+    // a line that is not UTF-8 at all is a typed error too, and the
+    // connection stays open
+    client.writer.write_all(b"{\"cmd\":\"\xff\"}\n").unwrap();
+    let reply = client.recv();
+    assert_eq!(jstr(&reply, "error"), "bad_request", "{reply:?}");
+    assert!(jstr(&reply, "detail").contains("UTF-8"), "{reply:?}");
+    client.hello();
+
+    client.send("{\"cmd\":\"shutdown\"}");
+    let (code, _) = daemon.wait();
+    assert_eq!(code, Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn per_row_round_trip_time_does_not_grow_with_batch_size() {
+    let dir = temp_dir("batchshape");
+    let a1 = make_artifact(&dir, "a1.artifact", 7);
+    let daemon = Daemon::start(&["--model", a1.to_str().unwrap(), "--workers", "2"]);
+    let data = pnr_kddsim::generate_train(1_024, 3);
+    let mut client = Client::connect(&daemon.addr);
+    client.hello();
+
+    // median per-row round trip over lockstep requests of `batch` rows;
+    // replies are parsed after the clock stops
+    let mut per_row_ms = |batch: usize| {
+        let mut times: Vec<f64> = (0..24)
+            .map(|i| {
+                let line = Client::score_line(&data, i, batch);
+                let t = Instant::now();
+                client.send(&line);
+                let reply = client.recv_line();
+                let ms = t.elapsed().as_secs_f64() * 1e3;
+                let reply = serde_json::parse(reply.trim()).unwrap();
+                assert_eq!(ju64(&reply, "scored"), batch as u64, "{reply:?}");
+                ms / batch as f64
+            })
+            .collect();
+        times.sort_by(f64::total_cmp);
+        times[times.len() / 2]
+    };
+    per_row_ms(64); // warm-up
+    let (small, large) = (per_row_ms(64), per_row_ms(512));
+    // a cost that grows faster than the batch (a quadratic parse, or a
+    // reply stalled behind a delayed ACK) shows up as a large ratio
+    assert!(
+        large <= 2.0 * small,
+        "per-row round trip: {large:.4} ms at batch 512 vs {small:.4} ms at batch 64"
+    );
+
+    client.send("{\"cmd\":\"shutdown\"}");
     let (code, _) = daemon.wait();
     assert_eq!(code, Some(0));
     std::fs::remove_dir_all(&dir).ok();
