@@ -1,12 +1,15 @@
 //! The scoring daemon: accept loop, admission control, hot-swap and
 //! graceful drain.
 //!
-//! Life of a request: a connection thread reads one NDJSON line, builds
-//! a [`ScoreJob`] against the *currently active* model epoch (capturing
-//! the epoch's `Arc` and the connection's column map for that epoch, so
-//! a concurrent swap can never mismatch a map with a model), and pushes
-//! it into the bounded queue. A pool worker pops it, scores it under the
-//! panic boundary, and answers through the connection's writer channel.
+//! Life of a request: a connection thread reads one NDJSON line, checks
+//! it in one pass with no tree built, builds a [`ScoreJob`] that owns the
+//! line against the *currently active* model epoch (capturing the
+//! epoch's `Arc` and the connection's column map for that epoch, so a
+//! concurrent swap can never mismatch a map with a model), and pushes it
+//! into the bounded queue. A pool worker pops it and, under the panic
+//! boundary, decodes each row straight from the line, scores it and
+//! writes its result straight into the reply, which it sends through the
+//! connection's writer channel.
 //! Every submitted job is answered exactly once — served, shed, deadline
 //! -expired or panicked — which is what the fault suite's
 //! `served + shed == submitted` assertions rest on.
@@ -19,19 +22,22 @@
 //! is a typed `swap_failed`, and the old epoch keeps serving.
 //!
 //! Graceful drain (`shutdown`): the accept loop stops, queued jobs are
-//! finished and answered, workers exit, and the final telemetry report
-//! is flushed to stdout as NDJSON before the process exits 0. For
+//! finished and answered, workers exit, every connection's writer
+//! flushes its last replies, and the final telemetry report is flushed
+//! to stdout as NDJSON before the process exits 0. For
 //! ungraceful exits (`kill -9`), the state file (see [`crate::state`])
 //! remembers the last *activated* artifact so a restart resumes it.
 
 use crate::pool::WorkerPool;
-use crate::protocol::{err_line, ok_line, parse_request, write_line, Request};
+use crate::protocol::{
+    check_request, err_line, ok_line, write_line, Checked, Request, Rows, ScoreReply,
+};
 use crate::queue::{BoundedQueue, PushError, PushOutcome, ShedPolicy};
 use crate::sink::ServeSink;
 use crate::state;
 use pnr_core::{
-    load_with_retry, ColumnMap, MissingColumnPolicy, ModelArtifact, RecordError, RetryPolicy,
-    ScoringEngine, ServingModel, UnknownPolicy,
+    load_with_retry, ColumnMap, MissingColumnPolicy, ModelArtifact, RetryPolicy, ScoringEngine,
+    ServingModel, UnknownPolicy,
 };
 use pnr_telemetry::{Counter, Span, SpanKind, TelemetrySink};
 use serde::Content;
@@ -150,8 +156,8 @@ struct EpochModel {
 /// What a queued job does when a worker picks it up.
 #[derive(Debug)]
 enum JobKind {
-    /// Score the rows.
-    Score,
+    /// Score the rows: the array at byte `rows_at` of the request line.
+    Score { line: String, rows_at: usize },
     /// Panic inside the worker (fault injection).
     Panic,
     /// Sleep this many milliseconds, then reply (fault injection; used to
@@ -165,7 +171,6 @@ enum JobKind {
 struct ScoreJob {
     id: String,
     kind: JobKind,
-    rows: Vec<Vec<String>>,
     deadline: Option<Instant>,
     model: Arc<EpochModel>,
     map: Option<Arc<ColumnMap>>,
@@ -225,10 +230,10 @@ fn build_serving(
 /// boundary; anything that escapes here is converted into a typed
 /// `worker_panic` response by the pool's `on_panic` callback.
 fn execute(job: &ScoreJob, sink: &ServeSink, pending: &AtomicU64, degraded: &DegradedState) {
-    match job.kind {
+    match &job.kind {
         JobKind::Panic => panic!("injected fault: worker panic requested by client"),
         JobKind::Stall(ms) => {
-            std::thread::sleep(Duration::from_millis(ms));
+            std::thread::sleep(Duration::from_millis(*ms));
             if deadline_expired(job, 0, sink, pending) {
                 return;
             }
@@ -247,7 +252,9 @@ fn execute(job: &ScoreJob, sink: &ServeSink, pending: &AtomicU64, degraded: &Deg
                 ),
             );
         }
-        JobKind::Score => execute_score(job, sink, pending, degraded),
+        JobKind::Score { line, rows_at } => {
+            execute_score(job, line, *rows_at, sink, pending, degraded)
+        }
     }
 }
 
@@ -282,7 +289,14 @@ fn deadline_expired(
     true
 }
 
-fn execute_score(job: &ScoreJob, sink: &ServeSink, pending: &AtomicU64, degraded: &DegradedState) {
+fn execute_score(
+    job: &ScoreJob,
+    line: &str,
+    rows_at: usize,
+    sink: &ServeSink,
+    pending: &AtomicU64,
+    degraded: &DegradedState,
+) {
     let Some(map) = job.map.as_deref() else {
         // admission guarantees a map for Score jobs; never panic if not
         answer(
@@ -299,89 +313,41 @@ fn execute_score(job: &ScoreJob, sink: &ServeSink, pending: &AtomicU64, degraded
     if deadline_expired(job, 0, sink, pending) {
         return;
     }
-    // the span covers the whole batch; a mid-batch deadline return still
-    // closes it, so even timed-out requests contribute a latency sample
+    // the span covers decode, scoring and reply writing for the whole
+    // batch; a mid-batch deadline return still closes it, so even
+    // timed-out requests contribute a latency sample
     let _span = Span::enter(sink, SpanKind::ServeRequest, "");
-    let mut results = Vec::with_capacity(job.rows.len());
-    let (mut scored, mut errors) = (0u64, 0u64);
-    for (i, row) in job.rows.iter().enumerate() {
-        if i > 0 && i % DEADLINE_CHECK_EVERY == 0 && deadline_expired(job, i, sink, pending) {
-            return;
+    let decoded = Rows::new(line, rows_at).and_then(|mut rows| {
+        // one buffer of field slices borrowed from the line, reused by
+        // every row
+        let mut fields = Vec::new();
+        let mut reply = ScoreReply::default();
+        let mut i = 0;
+        while rows.next_row(&mut fields)? {
+            if i > 0 && i % DEADLINE_CHECK_EVERY == 0 && deadline_expired(job, i, sink, pending) {
+                return Ok(None);
+            }
+            let outcome = job.model.serving.score_fields(&fields, map);
+            if let Ok(rec) = &outcome {
+                sink.record_score(rec.score, rec.decision, rec.trace.p_rule);
+            }
+            reply.push(&outcome);
+            i += 1;
         }
-        results.push(row_result(
-            &job.model.serving,
-            row,
-            map,
-            sink,
-            &mut scored,
-            &mut errors,
-        ));
-    }
-    finish_score(job, sink, pending, degraded, results, scored, errors);
-}
-
-fn finish_score(
-    job: &ScoreJob,
-    sink: &ServeSink,
-    pending: &AtomicU64,
-    degraded: &DegradedState,
-    results: Vec<Content>,
-    scored: u64,
-    errors: u64,
-) {
-    sink.add(Counter::RequestsServed, 1);
-    job.model.served.fetch_add(1, Ordering::Relaxed);
-    answer(
-        &job.respond,
-        pending,
-        ok_line(
-            "score",
-            vec![
-                ("id", Content::Str(job.id.clone())),
-                ("epoch", Content::U64(job.model.epoch)),
-                ("degraded", Content::Bool(degraded.is_on())),
-                ("scored", Content::U64(scored)),
-                ("errors", Content::U64(errors)),
-                ("results", Content::Seq(results)),
-            ],
-        ),
-    );
-}
-
-fn row_result(
-    serving: &ServingModel,
-    row: &[String],
-    map: &ColumnMap,
-    sink: &ServeSink,
-    scored: &mut u64,
-    errors: &mut u64,
-) -> Content {
-    match serving.score_fields(row, map) {
-        Ok(rec) => {
-            *scored += 1;
-            sink.record_score(rec.score, rec.decision, rec.trace.p_rule);
-            Content::Map(vec![
-                ("score".to_string(), Content::F64(rec.score)),
-                ("decision".to_string(), Content::Bool(rec.decision)),
-                ("abstained".to_string(), Content::Bool(rec.abstained)),
-                (
-                    "unknown_values".to_string(),
-                    Content::U64(rec.unknown_values as u64),
-                ),
-            ])
+        Ok(Some(reply))
+    });
+    let line = match decoded {
+        Ok(Some(reply)) => {
+            sink.add(Counter::RequestsServed, 1);
+            job.model.served.fetch_add(1, Ordering::Relaxed);
+            reply.finish(&job.id, job.model.epoch, degraded.is_on())
         }
-        Err(e) => {
-            *errors += 1;
-            let kind = match &e {
-                RecordError::Structural { .. } => "structural",
-                RecordError::UnknownRejected { .. } => "unknown-rejected",
-            };
-            Content::Map(vec![
-                ("error".to_string(), Content::Str(e.to_string())),
-                ("kind".to_string(), Content::Str(kind.to_string())),
-            ])
-        }
-    }
+        // answered as `deadline_exceeded`
+        Ok(None) => return,
+        // admission checked the line; never panic if it does not decode
+        Err(reason) => err_line("bad_request", &reason, Vec::new()),
+    };
+    answer(&job.respond, pending, line);
 }
 
 /// Per-connection state: the declared header and its reconciliation
@@ -436,21 +402,23 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             Err(_) => break,
         };
         if !buf.is_empty() {
-            match std::str::from_utf8(&buf) {
-                Ok(text) => {
-                    let line = text.trim();
-                    if !line.is_empty() {
-                        handle_line(line, &mut conn, &tx, &shared);
-                    }
-                }
+            let len = buf.len();
+            buf = match String::from_utf8(std::mem::take(&mut buf)) {
+                // a `score` job takes the line itself; the next one of
+                // about the same size then needs no regrowing
+                Ok(line) => match handle_line(line, &mut conn, &tx, &shared) {
+                    Some(line) => line.into_bytes(),
+                    None => Vec::with_capacity(len),
+                },
                 Err(e) => {
                     let _ = tx.send(err_line(
                         "bad_request",
                         &format!("request line is not valid UTF-8: {e}"),
                         Vec::new(),
                     ));
+                    e.into_bytes()
                 }
-            }
+            };
             buf.clear();
         }
         if eof {
@@ -461,15 +429,39 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     let _ = writer.join();
 }
 
-fn handle_line(line: &str, conn: &mut ConnState, tx: &mpsc::Sender<String>, shared: &Arc<Shared>) {
+/// Answers or admits one request line. A `score` job takes the line
+/// itself; any other line is handed back for its buffer to be reused.
+fn handle_line(
+    line: String,
+    conn: &mut ConnState,
+    tx: &mpsc::Sender<String>,
+    shared: &Arc<Shared>,
+) -> Option<String> {
     let send = |line: String| {
         let _ = tx.send(line);
     };
-    let request = match parse_request(line) {
-        Ok(r) => r,
+    let start = line.len() - line.trim_start().len();
+    let trimmed = line[start..].trim_end();
+    if trimmed.is_empty() {
+        return Some(line);
+    }
+    let request = match check_request(trimmed) {
+        Ok(Checked::Other(request)) => request,
+        Ok(Checked::Score {
+            id,
+            rows_at,
+            deadline_ms,
+        }) => {
+            let kind = JobKind::Score {
+                line,
+                rows_at: start + rows_at,
+            };
+            submit(kind, id, deadline_ms, conn, tx, shared);
+            return None;
+        }
         Err(reason) => {
             send(err_line("bad_request", &reason, Vec::new()));
-            return;
+            return Some(line);
         }
     };
     match request {
@@ -496,11 +488,8 @@ fn handle_line(line: &str, conn: &mut ConnState, tx: &mpsc::Sender<String>, shar
                 Err(e) => send(err_line("schema_mismatch", &e.to_string(), Vec::new())),
             }
         }
-        Request::Score {
-            id,
-            rows,
-            deadline_ms,
-        } => submit(JobKind::Score, id, rows, deadline_ms, conn, tx, shared),
+        // admitted above, straight from the checked line
+        Request::Score { .. } => {}
         Request::Panic => {
             if !shared.config.fault_injection {
                 send(err_line(
@@ -509,15 +498,7 @@ fn handle_line(line: &str, conn: &mut ConnState, tx: &mpsc::Sender<String>, shar
                     Vec::new(),
                 ));
             } else {
-                submit(
-                    JobKind::Panic,
-                    "panic".to_string(),
-                    Vec::new(),
-                    None,
-                    conn,
-                    tx,
-                    shared,
-                );
+                submit(JobKind::Panic, "panic".to_string(), None, conn, tx, shared);
             }
         }
         Request::Stall { ms } => {
@@ -531,7 +512,6 @@ fn handle_line(line: &str, conn: &mut ConnState, tx: &mpsc::Sender<String>, shar
                 submit(
                     JobKind::Stall(ms),
                     format!("stall-{ms}"),
-                    Vec::new(),
                     None,
                     conn,
                     tx,
@@ -567,6 +547,7 @@ fn handle_line(line: &str, conn: &mut ConnState, tx: &mpsc::Sender<String>, shar
             ));
         }
     }
+    Some(line)
 }
 
 /// Admission control: captures the active epoch + column map, applies
@@ -574,7 +555,6 @@ fn handle_line(line: &str, conn: &mut ConnState, tx: &mpsc::Sender<String>, shar
 fn submit(
     kind: JobKind,
     id: String,
-    rows: Vec<Vec<String>>,
     deadline_ms: Option<u64>,
     conn: &mut ConnState,
     tx: &mpsc::Sender<String>,
@@ -595,7 +575,7 @@ fn submit(
     }
     let active = shared.active();
     let map = match kind {
-        JobKind::Score => {
+        JobKind::Score { .. } => {
             let Some(header) = conn.header.as_ref() else {
                 send(err_line(
                     "no_hello",
@@ -631,7 +611,6 @@ fn submit(
     let job = ScoreJob {
         id: id.clone(),
         kind,
-        rows,
         deadline,
         model: active,
         map,
@@ -994,11 +973,15 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<i32, String> {
         .set_nonblocking(true)
         .map_err(|e| format!("cannot configure listener: {e}"))?;
 
+    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let shared = shared.clone();
-                std::thread::spawn(move || handle_connection(stream, shared));
+                connections.retain(|c| !c.is_finished());
+                connections.push(std::thread::spawn(move || {
+                    handle_connection(stream, shared)
+                }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -1024,9 +1007,18 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<i32, String> {
     while shared.pool.alive() > 0 && Instant::now() < drain_deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
+    // A job counts as answered once its reply is in the connection's
+    // writer channel; it is on the wire only when that writer has flushed.
+    while connections.iter().any(|c| !c.is_finished()) && Instant::now() < drain_deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let leftover = pending.load(Ordering::SeqCst);
     if leftover > 0 {
         eprintln!("warn: {leftover} job(s) unanswered at drain deadline");
+    }
+    let open = connections.iter().filter(|c| !c.is_finished()).count();
+    if open > 0 {
+        eprintln!("warn: {open} connection(s) still writing at drain deadline");
     }
 
     // Final telemetry flush: the NDJSON report is the daemon's last words.

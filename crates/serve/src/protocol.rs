@@ -23,8 +23,17 @@
 //! Rows in `score` are sequences of CSV-style fields; numbers are
 //! accepted and rendered through Rust's float formatting so a client can
 //! send either `"2.5"` or `2.5`.
+//!
+//! A `score` line is never built into a JSON tree: [`check_request`]
+//! validates the whole line in one pass, [`Rows`] decodes its rows
+//! straight from the line, and [`ScoreReply`] writes the reply directly.
+//! [`parse_request`] is the owned form of the same reading.
 
+use pnr_core::{RecordError, ScoredRecord};
 use serde::Content;
+use serde_json::{Scanner, Token};
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// One write per line: the framing every NDJSON writer on this protocol
 /// uses (see [`pnr_core::ndjson`]).
@@ -75,112 +84,356 @@ pub enum Request {
     },
 }
 
-/// Parses one request line. `Err` carries a human-readable reason the
-/// daemon wraps in a `bad_request` response. Row fields are moved out of
-/// the parsed tree, so a batch's text is held once, not twice.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value = serde_json::parse(line).map_err(|e| format!("unparseable JSON: {e}"))?;
-    let mut entries = match value {
-        Content::Map(entries) => entries,
-        _ => Vec::new(),
-    };
+/// A request line checked against the protocol in one pass, with no
+/// tree built: syntax, command and field shapes are all validated, and a
+/// bad line gets the same typed reason [`parse_request`] gives. Only a
+/// `score` request's rows are left in the line, for [`Rows`] to decode.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Checked {
+    /// A `score` request whose rows are the array at byte `rows_at` of
+    /// the checked line.
+    Score {
+        /// Client-chosen id echoed in the response.
+        id: String,
+        /// Byte offset of the `rows` array.
+        rows_at: usize,
+        /// Optional wall-clock deadline for the whole batch.
+        deadline_ms: Option<u64>,
+    },
+    /// Any other command, decoded.
+    Other(Request),
+}
+
+/// The first value of a key the protocol reads: a scalar whole, or where
+/// an array starts and the first way its items break the shape the key
+/// wants.
+enum Slot<'a> {
+    Scalar(Token<'a>),
+    Seq {
+        at: usize,
+        shape: Result<(), &'static str>,
+    },
+    Map,
+}
+
+/// Keys the protocol reads.
+const KEYS: [&str; 9] = [
+    "cmd",
+    "columns",
+    "id",
+    "rows",
+    "deadline_ms",
+    "path",
+    "on",
+    "reason",
+    "ms",
+];
+
+fn unparseable(e: serde_json::Error) -> String {
+    format!("unparseable JSON: {e}")
+}
+
+/// Checks one request line in a single pass. `Err` carries a
+/// human-readable reason the daemon wraps in a `bad_request` response.
+pub fn check_request(line: &str) -> Result<Checked, String> {
+    // the first value of each key in KEYS; later duplicates are checked
+    // and ignored
+    let mut slots: [Option<Slot>; KEYS.len()] = Default::default();
+    let mut sc = Scanner::new(line);
+    let top = sc.token().map_err(unparseable)?;
+    if top == Token::Map {
+        while let Some(key) = sc.next_key().map_err(unparseable)? {
+            match KEYS.iter().position(|k| *k == key) {
+                Some(i) if slots[i].is_none() => {
+                    slots[i] = Some(slot(&mut sc, key == "rows").map_err(unparseable)?);
+                }
+                _ => sc.skip().map_err(unparseable)?,
+            }
+        }
+    } else {
+        sc.skip_rest(&top).map_err(unparseable)?;
+    }
+    sc.finish().map_err(unparseable)?;
     let mut take = |key: &str| {
-        entries
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| std::mem::replace(v, Content::Null))
+        let i = KEYS.iter().position(|k| *k == key)?;
+        slots[i].take()
     };
+
     let cmd = match take("cmd") {
-        Some(Content::Str(s)) => s,
+        Some(Slot::Scalar(Token::Str(s))) => s,
         _ => return Err("missing string field `cmd`".to_string()),
     };
-    match cmd.as_str() {
+    let request = match &*cmd {
         "hello" => {
             let columns = match take("columns") {
-                Some(Content::Seq(columns)) => fields(columns)?,
+                Some(Slot::Seq { at, shape }) => {
+                    shape?;
+                    let mut sc = Scanner::at(line, at);
+                    let mut columns = Vec::new();
+                    sc.token().map_err(unparseable)?; // the `[`
+                    read_fields(&mut sc, &mut columns)?;
+                    columns.into_iter().map(Cow::into_owned).collect::<Vec<_>>()
+                }
                 _ => return Err("`hello` needs a `columns` array".to_string()),
             };
             if columns.is_empty() {
                 return Err("`columns` must not be empty".to_string());
             }
-            Ok(Request::Hello { columns })
+            Request::Hello { columns }
         }
         "score" => {
-            let id = take("id").map(scalar_into_string).transpose()?;
-            let rows = match take("rows") {
-                Some(Content::Seq(rows)) => rows
-                    .into_iter()
-                    .map(|row| match row {
-                        Content::Seq(row) => fields(row),
-                        _ => Err("each row must be an array of fields".to_string()),
-                    })
-                    .collect::<Result<Vec<Vec<String>>, String>>()?,
+            let id = match take("id") {
+                None => String::new(),
+                Some(Slot::Scalar(token)) => field_text(token)?.into_owned(),
+                Some(_) => return Err(NOT_SCALAR.to_string()),
+            };
+            let rows_at = match take("rows") {
+                Some(Slot::Seq { at, shape }) => {
+                    shape?;
+                    at
+                }
                 _ => return Err("`score` needs a `rows` array".to_string()),
             };
             let deadline_ms = match take("deadline_ms") {
-                None | Some(Content::Null) => None,
+                None | Some(Slot::Scalar(Token::Null)) => None,
                 Some(v) => Some(as_u64(&v).ok_or("`deadline_ms` must be a non-negative integer")?),
             };
-            Ok(Request::Score {
-                id: id.unwrap_or_default(),
-                rows,
+            return Ok(Checked::Score {
+                id,
+                rows_at,
                 deadline_ms,
-            })
+            });
         }
         "swap" => match take("path") {
-            Some(Content::Str(path)) if !path.is_empty() => Ok(Request::Swap { path }),
-            _ => Err("`swap` needs a non-empty string `path`".to_string()),
+            Some(Slot::Scalar(Token::Str(path))) if !path.is_empty() => Request::Swap {
+                path: path.into_owned(),
+            },
+            _ => return Err("`swap` needs a non-empty string `path`".to_string()),
         },
-        "stats" => Ok(Request::Stats),
+        "stats" => Request::Stats,
         "degrade" => {
             let on = match take("on") {
-                Some(Content::Bool(b)) => b,
+                Some(Slot::Scalar(Token::Bool(b))) => b,
                 _ => return Err("`degrade` needs a boolean `on`".to_string()),
             };
             let reason = match take("reason") {
-                None | Some(Content::Null) => String::new(),
-                Some(Content::Str(s)) => s,
+                None | Some(Slot::Scalar(Token::Null)) => String::new(),
+                Some(Slot::Scalar(Token::Str(s))) => s.into_owned(),
                 _ => return Err("`reason` must be a string".to_string()),
             };
-            Ok(Request::Degrade { on, reason })
+            Request::Degrade { on, reason }
         }
-        "shutdown" => Ok(Request::Shutdown),
-        "panic" => Ok(Request::Panic),
+        "shutdown" => Request::Shutdown,
+        "panic" => Request::Panic,
         "stall" => {
             let ms = take("ms")
                 .as_ref()
                 .and_then(as_u64)
                 .ok_or("`stall` needs a non-negative integer `ms`")?;
-            Ok(Request::Stall { ms })
+            Request::Stall { ms }
         }
-        other => Err(format!("unknown cmd {other:?}")),
+        other => return Err(format!("unknown cmd {other:?}")),
+    };
+    Ok(Checked::Other(request))
+}
+
+/// Reads the value after a key into a [`Slot`]; an array's items are
+/// checked as score rows (`rows`) or as fields.
+fn slot<'a>(sc: &mut Scanner<'a>, rows: bool) -> serde_json::Result<Slot<'a>> {
+    let at = sc.pos();
+    Ok(match sc.token()? {
+        Token::Seq => Slot::Seq {
+            at,
+            shape: array_shape(sc, rows)?,
+        },
+        Token::Map => {
+            sc.skip_rest(&Token::Map)?;
+            Slot::Map
+        }
+        scalar => Slot::Scalar(scalar),
+    })
+}
+
+const NOT_SCALAR: &str = "fields must be scalars";
+const NOT_ROW: &str = "each row must be an array of fields";
+
+/// Reads the rest of an array whose `[` was just read and returns the
+/// first way its items break the shape: score rows are arrays of
+/// scalars, fields are scalars.
+fn array_shape(sc: &mut Scanner<'_>, rows: bool) -> serde_json::Result<Result<(), &'static str>> {
+    let mut shape = Ok(());
+    while sc.next_item()? {
+        let item = match sc.token()? {
+            Token::Seq => {
+                let fields = array_shape(sc, false)?;
+                if rows {
+                    fields
+                } else {
+                    Err(NOT_SCALAR)
+                }
+            }
+            Token::Map => {
+                sc.skip_rest(&Token::Map)?;
+                Err(if rows { NOT_ROW } else { NOT_SCALAR })
+            }
+            _ if rows => Err(NOT_ROW),
+            _ => Ok(()),
+        };
+        shape = shape.and(item);
     }
+    Ok(shape)
 }
 
-/// Converts a sequence of JSON scalars into CSV-style field strings.
-fn fields(values: Vec<Content>) -> Result<Vec<String>, String> {
-    values.into_iter().map(scalar_into_string).collect()
-}
-
-/// Renders a JSON scalar as a CSV-style field string; strings are moved,
-/// not copied.
-fn scalar_into_string(v: Content) -> Result<String, String> {
-    match v {
-        Content::Str(s) => Ok(s),
-        Content::U64(n) => Ok(n.to_string()),
-        Content::I64(n) => Ok(n.to_string()),
-        Content::F64(x) => Ok(x.to_string()),
-        Content::Bool(b) => Ok(b.to_string()),
-        Content::Null => Ok(String::new()),
-        _ => Err("fields must be scalars".to_string()),
+/// Reads the rest of an array whose `[` was just read into `fields`.
+fn read_fields<'a>(sc: &mut Scanner<'a>, fields: &mut Vec<Cow<'a, str>>) -> Result<(), String> {
+    while sc.next_item().map_err(unparseable)? {
+        fields.push(field_text(sc.token().map_err(unparseable)?)?);
     }
+    Ok(())
 }
 
-fn as_u64(v: &Content) -> Option<u64> {
+/// Renders a JSON scalar as CSV-style field text: a string as it is
+/// (borrowed from the line unless it holds escapes), a number through
+/// Rust's formatting (`2.50` → `2.5`, `1e400` → `inf`), `null` as empty.
+fn field_text(token: Token<'_>) -> Result<Cow<'_, str>, String> {
+    Ok(match token {
+        Token::Str(s) => s,
+        Token::U64(n) => n.to_string().into(),
+        Token::I64(n) => n.to_string().into(),
+        Token::F64(x) => x.to_string().into(),
+        Token::Bool(b) => Cow::Borrowed(if b { "true" } else { "false" }),
+        Token::Null => Cow::Borrowed(""),
+        Token::Seq | Token::Map => return Err(NOT_SCALAR.to_string()),
+    })
+}
+
+fn as_u64(v: &Slot<'_>) -> Option<u64> {
     match *v {
-        Content::U64(n) => Some(n),
-        Content::I64(n) => u64::try_from(n).ok(),
+        Slot::Scalar(Token::U64(n)) => Some(n),
+        Slot::Scalar(Token::I64(n)) => u64::try_from(n).ok(),
         _ => None,
+    }
+}
+
+/// Decodes a checked `score` request's rows straight from its line, one
+/// row at a time, into a reused buffer of field slices.
+#[derive(Debug)]
+pub struct Rows<'a> {
+    sc: Scanner<'a>,
+}
+
+impl<'a> Rows<'a> {
+    /// Starts at the `rows` array [`check_request`] found at byte
+    /// `rows_at` of `line`.
+    pub fn new(line: &'a str, rows_at: usize) -> Result<Self, String> {
+        let mut sc = Scanner::at(line, rows_at);
+        match sc.token().map_err(unparseable)? {
+            Token::Seq => Ok(Rows { sc }),
+            _ => Err("`score` needs a `rows` array".to_string()),
+        }
+    }
+
+    /// Decodes the next row into `fields`, which it clears first;
+    /// `false` once the rows are done.
+    pub fn next_row(&mut self, fields: &mut Vec<Cow<'a, str>>) -> Result<bool, String> {
+        fields.clear();
+        if !self.sc.next_item().map_err(unparseable)? {
+            return Ok(false);
+        }
+        match self.sc.token().map_err(unparseable)? {
+            Token::Seq => read_fields(&mut self.sc, fields).map(|()| true),
+            _ => Err(NOT_ROW.to_string()),
+        }
+    }
+}
+
+/// Parses one request line into an owned [`Request`]: the rows of a
+/// [`check_request`]ed line, decoded by [`Rows`]. `Err` carries a
+/// human-readable reason the daemon wraps in a `bad_request` response.
+pub fn parse_request(line: &str) -> Result<Request, String> {
+    match check_request(line)? {
+        Checked::Score {
+            id,
+            rows_at,
+            deadline_ms,
+        } => {
+            let mut reader = Rows::new(line, rows_at)?;
+            let (mut rows, mut fields) = (Vec::new(), Vec::new());
+            while reader.next_row(&mut fields)? {
+                rows.push(fields.drain(..).map(Cow::into_owned).collect());
+            }
+            Ok(Request::Score {
+                id,
+                rows,
+                deadline_ms,
+            })
+        }
+        Checked::Other(request) => Ok(request),
+    }
+}
+
+/// A `score` reply written straight into its line as rows are scored,
+/// byte for byte what [`ok_line`] renders for the same fields, with no
+/// tree built.
+#[derive(Debug, Default)]
+pub struct ScoreReply {
+    results: String,
+    scored: u64,
+    errors: u64,
+}
+
+impl ScoreReply {
+    /// Appends one row's result.
+    pub fn push(&mut self, outcome: &Result<ScoredRecord, RecordError>) {
+        let out = &mut self.results;
+        if !out.is_empty() {
+            out.push(',');
+        }
+        match outcome {
+            Ok(rec) => {
+                self.scored += 1;
+                out.push_str("{\"score\":");
+                serde_json::write_f64(rec.score, out);
+                out.push_str(if rec.decision {
+                    ",\"decision\":true"
+                } else {
+                    ",\"decision\":false"
+                });
+                out.push_str(if rec.abstained {
+                    ",\"abstained\":true"
+                } else {
+                    ",\"abstained\":false"
+                });
+                let _ = write!(out, ",\"unknown_values\":{}}}", rec.unknown_values);
+            }
+            Err(e) => {
+                self.errors += 1;
+                let kind = match e {
+                    RecordError::Structural { .. } => "structural",
+                    RecordError::UnknownRejected { .. } => "unknown-rejected",
+                };
+                out.push_str("{\"error\":");
+                serde_json::write_escaped(&e.to_string(), out);
+                out.push_str(",\"kind\":");
+                serde_json::write_escaped(kind, out);
+                out.push('}');
+            }
+        }
+    }
+
+    /// The finished reply line.
+    pub fn finish(self, id: &str, epoch: u64, degraded: bool) -> String {
+        let mut line = String::with_capacity(self.results.len() + id.len() + 128);
+        line.push_str("{\"ok\":true,\"reply\":\"score\",\"id\":");
+        serde_json::write_escaped(id, &mut line);
+        let _ = write!(
+            line,
+            ",\"epoch\":{epoch},\"degraded\":{degraded},\"scored\":{},\"errors\":{},\"results\":[",
+            self.scored, self.errors
+        );
+        line.push_str(&self.results);
+        line.push_str("]}");
+        line
     }
 }
 
@@ -335,6 +588,64 @@ mod tests {
         );
         assert!(parse_request("{\"cmd\":\"score\",\"rows\":[[[\"nested\"]]]}").is_err());
         assert!(parse_request("[\"cmd\",\"stats\"]").is_err());
+    }
+
+    #[test]
+    fn checked_score_rows_stay_in_the_line_and_plain_fields_are_borrowed() {
+        let line = "{\"id\":9, \"cmd\":\"score\",\"rows\": [[\"tcp\",\"a\\\"b\",2.50,null], []]}";
+        let rows_at = match check_request(line).unwrap() {
+            Checked::Score {
+                id,
+                rows_at,
+                deadline_ms,
+            } => {
+                assert_eq!((id.as_str(), deadline_ms), ("9", None));
+                rows_at
+            }
+            other => panic!("{other:?}"),
+        };
+        assert!(line[rows_at..].trim_start().starts_with("[["));
+        let mut rows = Rows::new(line, rows_at).unwrap();
+        let mut fields = Vec::new();
+        assert!(rows.next_row(&mut fields).unwrap());
+        assert_eq!(fields, ["tcp", "a\"b", "2.5", ""]);
+        // plain text is a slice of the line; only escaped text and
+        // numbers are copied
+        assert!(matches!(fields[0], Cow::Borrowed("tcp")));
+        assert!(matches!(fields[1], Cow::Owned(_)));
+        assert!(rows.next_row(&mut fields).unwrap());
+        assert!(fields.is_empty());
+        assert!(!rows.next_row(&mut fields).unwrap());
+    }
+
+    #[test]
+    fn numeric_fields_take_rust_float_formatting() {
+        let req =
+            parse_request("{\"cmd\":\"score\",\"rows\":[[2.50,-4,1e400,-0.0,1E2,false]]}").unwrap();
+        match req {
+            Request::Score { rows, .. } => {
+                assert_eq!(rows, vec![vec!["2.5", "-4", "inf", "-0", "100", "false"]])
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_empty_score_reply_matches_ok_line() {
+        assert_eq!(
+            ScoreReply::default().finish("q\"", 2, true),
+            ok_line(
+                "score",
+                vec![
+                    ("id", Content::Str("q\"".to_string())),
+                    ("epoch", Content::U64(2)),
+                    ("degraded", Content::Bool(true)),
+                    ("scored", Content::U64(0)),
+                    ("errors", Content::U64(0)),
+                    ("results", Content::Seq(Vec::new())),
+                ],
+            )
+        );
     }
 
     #[test]

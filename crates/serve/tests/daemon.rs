@@ -976,3 +976,145 @@ fn per_row_round_trip_time_does_not_grow_with_batch_size() {
     assert_eq!(code, Some(0));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn shutdown_right_behind_in_flight_scores_loses_no_reply() {
+    let dir = temp_dir("drainreplies");
+    let a1 = make_artifact(&dir, "a1.artifact", 7);
+    let data = pnr_kddsim::generate_train(16, 3);
+    // every row's `duration` is 40 KB of junk that its per-row error
+    // echoes, so the 8 replies (~5 MB) outgrow the socket buffers
+    let junk = format!("\"{}\"", "x".repeat(40_000));
+    let rows: Vec<String> = (0..16)
+        .map(|r| {
+            let mut fields: Vec<String> = pnr_kddsim::row_fields(&data, r)
+                .iter()
+                .map(|f| format!("\"{f}\""))
+                .collect();
+            fields[3] = junk.clone();
+            format!("[{}]", fields.join(","))
+        })
+        .collect();
+    const N: usize = 8;
+    for iteration in 0..40 {
+        let daemon = Daemon::start(&["--model", a1.to_str().unwrap(), "--workers", "2"]);
+        let mut client = Client::connect(&daemon.addr);
+        client.hello();
+        for i in 0..N {
+            client.send(&format!(
+                "{{\"cmd\":\"score\",\"id\":{i},\"rows\":[{}]}}",
+                rows.join(",")
+            ));
+        }
+        client.send("{\"cmd\":\"shutdown\"}");
+        // every other iteration the client reads late, so the daemon
+        // drains while its replies wait behind a full socket
+        if iteration % 2 == 1 {
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        // the daemon closes the connection when it exits: read to EOF
+        let (mut scored, mut shutdown) = (0, 0);
+        let mut line = String::new();
+        while client.reader.read_line(&mut line).unwrap() > 0 {
+            assert!(line.ends_with('\n'), "iteration {iteration}: cut reply");
+            let reply = serde_json::parse(line.trim()).unwrap();
+            assert!(is_ok(&reply), "iteration {iteration}: {reply:?}");
+            match jstr(&reply, "reply") {
+                "score" => {
+                    assert_eq!(ju64(&reply, "errors"), 16);
+                    scored += 1;
+                }
+                "shutdown" => shutdown += 1,
+                other => panic!("iteration {iteration}: reply {other}"),
+            }
+            line.clear();
+        }
+        assert_eq!(
+            (scored, shutdown),
+            (N, 1),
+            "iteration {iteration}: replies lost at shutdown"
+        );
+        let (code, _) = daemon.wait();
+        assert_eq!(code, Some(0));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fields_sent_as_numbers_bools_null_and_escapes_score_like_plain_strings() {
+    let dir = temp_dir("fieldforms");
+    let a1 = make_artifact(&dir, "a1.artifact", 7);
+    let daemon = Daemon::start(&["--model", a1.to_str().unwrap(), "--workers", "1"]);
+    let data = pnr_kddsim::generate_train(64, 3);
+    let mut client = Client::connect(&daemon.addr);
+    client.hello();
+
+    // every row twice: as plain strings, and with the same values as JSON
+    // numbers, bools, null and `\u`-escaped strings
+    let escaped = |s: &str| {
+        let units: String = s.chars().map(|c| format!("\\u{:04x}", c as u32)).collect();
+        format!("\"{units}\"")
+    };
+    let (mut plain_rows, mut typed_rows) = (Vec::new(), Vec::new());
+    for r in 0..data.n_rows() {
+        let (mut plain, mut typed) = (Vec::new(), Vec::new());
+        for (i, field) in pnr_kddsim::row_fields(&data, r).iter().enumerate() {
+            let numeric = data.schema().attr(i).is_numeric();
+            let (p, t) = match (r % 4, i) {
+                // a NonFinite unknown, and two unseen categories
+                (1, 4) => ("\"inf\"".to_string(), "1e400".to_string()),
+                (1, 1) => ("\"\"".to_string(), "null".to_string()),
+                (1, 2) => ("\"true\"".to_string(), "true".to_string()),
+                // an empty numeric field quarantines the row
+                (2, 5) => ("\"\"".to_string(), "null".to_string()),
+                // numbers render through Rust's formatting
+                (3, 3) => ("\"-4\"".to_string(), "-4".to_string()),
+                (3, 4) => ("\"2.5\"".to_string(), "2.50".to_string()),
+                _ if numeric => (format!("\"{field}\""), field.clone()),
+                _ => (format!("\"{field}\""), escaped(field)),
+            };
+            plain.push(p);
+            typed.push(t);
+        }
+        plain_rows.push(format!("[{}]", plain.join(",")));
+        typed_rows.push(format!("[{}]", typed.join(",")));
+    }
+    let counters = [
+        "rows_scored",
+        "rows_quarantined",
+        "unseen_category_hits",
+        "nan_numeric_hits",
+        "decision_positives",
+    ];
+    let mut send = |rows: &[String]| {
+        let before = client.request("{\"cmd\":\"stats\"}");
+        let reply = client.request(&format!(
+            "{{\"cmd\":\"score\",\"id\":\"x\",\"rows\":[{}]}}",
+            rows.join(",")
+        ));
+        assert!(is_ok(&reply), "{reply:?}");
+        let after = client.request("{\"cmd\":\"stats\"}");
+        let deltas: Vec<u64> = counters
+            .iter()
+            .map(|c| counter(&after, c) - counter(&before, c))
+            .collect();
+        (reply, deltas)
+    };
+    let (plain, plain_deltas) = send(&plain_rows);
+    let (typed, typed_deltas) = send(&typed_rows);
+    assert_eq!(typed.get("results"), plain.get("results"));
+    assert_eq!(ju64(&typed, "scored"), ju64(&plain, "scored"));
+    assert_eq!(ju64(&typed, "errors"), ju64(&plain, "errors"));
+    assert_eq!(typed_deltas, plain_deltas, "{counters:?}");
+    // the batch really holds quarantines and both kinds of unknown
+    assert_eq!(ju64(&plain, "errors"), 16, "{plain:?}");
+    assert!(
+        plain_deltas[2] >= 32 && plain_deltas[3] >= 16,
+        "{plain_deltas:?}"
+    );
+
+    client.send("{\"cmd\":\"shutdown\"}");
+    let (code, _) = daemon.wait();
+    assert_eq!(code, Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
