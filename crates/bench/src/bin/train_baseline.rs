@@ -20,9 +20,10 @@
 //!
 //! Like `search_baseline`, regenerating from a machine less parallel than
 //! the committed baseline's is refused unless `--force` is passed, and
-//! `detected_parallelism` is recorded so the sweep is read in context (on
-//! one core the sweep measures sharding overhead, not speedup — the
-//! `note` field says so rather than implying a win).
+//! `detected_parallelism` is recorded so the sweep is read in context. The
+//! default fit is also timed pinned to one search thread
+//! (`single_thread_fit_secs`); a speedup is claimed in `note` only when the
+//! machine has several cores and the default fit is measurably faster.
 //!
 //! `--smoke` runs the CI-scale drill instead: stream 10 million kddsim
 //! rows through the chunked loader (bounded generation and parse memory)
@@ -206,6 +207,26 @@ fn main() {
         BENCH_ROWS as f64 / reference_secs,
     );
 
+    // The same fit pinned to one search thread, behind the same gate: the
+    // denominator of the threaded speedup.
+    let single_params = PnruleParams {
+        search_workers: Some(1),
+        ..Default::default()
+    };
+    assert_eq!(
+        fit_artifact(&data, &single_params),
+        reference,
+        "the single-thread fit produced a different model artifact than the default fit"
+    );
+    let mut single_secs = f64::INFINITY;
+    for _ in 0..2 {
+        let t = Instant::now();
+        let _ = fit_artifact(&data, &single_params);
+        single_secs = single_secs.min(t.elapsed().as_secs_f64());
+    }
+    let speedup = single_secs / reference_secs;
+    eprintln!("single-thread fit: {single_secs:.2}s (default fit is {speedup:.2}x faster)");
+
     let auto_shards = ShardPlan::auto(BENCH_ROWS).n_shards();
     let mut sweep = Vec::new();
     for shards in [1usize, 2, auto_shards] {
@@ -234,12 +255,15 @@ fn main() {
         ));
     }
 
-    let note = if cores >= 2 {
-        "sweep timed with real parallelism; compare rows_per_sec across shard counts".to_string()
+    let note = if cores >= 2 && speedup > 1.05 {
+        format!(
+            "timed on {cores} cores: the default fit runs {speedup:.2}x the single-thread \
+             fit; compare rows_per_sec across shard counts"
+        )
     } else {
         format!(
-            "detected parallelism is {cores}: the shard sweep measures sharding \
-             overhead, not speedup, so no speedup is claimed"
+            "detected parallelism is {cores} and the default fit runs {speedup:.2}x the \
+             single-thread fit: no speedup is claimed"
         )
     };
     let json = serde_json::to_string_pretty(
@@ -258,6 +282,8 @@ fn main() {
   "bit_identity_gate": "every sharded artifact byte-identical to the unsharded sequential fit",
   "sequential_fit_secs": {reference_secs:.3},
   "sequential_rows_per_sec": {seq_rps:.0},
+  "single_thread_fit_secs": {single_secs:.3},
+  "threaded_speedup": {speedup:.3},
   "shard_sweep": [{sweep}],
   "note": "{note}"
 }}"#,

@@ -99,7 +99,9 @@ pub fn check_subset(context: &str, child: &[u32], parent: &[u32]) {
 
 /// Asserts view-projection consistency: `proj` must be a permutation of
 /// `rows` (the view's ascending row ids) ordered ascending by the value of
-/// numeric attribute `attr` with ties in row order.
+/// numeric attribute `attr` in `f64::total_cmp` order — the order
+/// `Dataset::sort_index` sorts in, so `-0.0` precedes `0.0` — with ties
+/// (identical values) in row order.
 ///
 /// # Panics
 /// Panics on a length mismatch, an out-of-order pair, or a row-set mismatch.
@@ -120,7 +122,7 @@ pub fn check_sorted_projection(
         let (a, b) = (pair[0], pair[1]);
         let (va, vb) = (data.num(attr, a as usize), data.num(attr, b as usize));
         assert!(
-            va < vb || (va == vb && a < b),
+            va.total_cmp(&vb).then(a.cmp(&b)).is_lt(),
             "audit: {context}: projection of attr {attr} out of order: \
              row {a} (value {va}) precedes row {b} (value {vb})",
         );
@@ -241,6 +243,22 @@ mod tests {
     fn misordered_projection_fires() {
         let d = data();
         check_sorted_projection("t", &d, 0, &[1, 3], &[1, 3]);
+    }
+
+    #[test]
+    fn signed_zeros_follow_the_sort_order() {
+        let mut b = DatasetBuilder::new();
+        b.add_attribute("x", AttrType::Numeric);
+        for x in [0.0, -0.0, 0.0] {
+            b.push_row(&[Value::num(x)], "c", 1.0).unwrap();
+        }
+        let d = b.finish();
+        assert_eq!(d.sort_index(0), [1, 0, 2]);
+        check_sorted_projection("t", &d, 0, &[0, 1, 2], d.sort_index(0));
+        let fired = std::panic::catch_unwind(|| {
+            check_sorted_projection("t", &d, 0, &[0, 1, 2], &[0, 1, 2]);
+        });
+        assert!(fired.is_err(), "0.0 before -0.0 must fire");
     }
 
     #[test]

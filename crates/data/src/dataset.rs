@@ -171,8 +171,9 @@ impl Dataset {
                 unreachable!()
             };
             let mut idx: Vec<u32> = (0..crate::index::to_u32(vals.len(), "row count")).collect();
-            // total_cmp: builder-validated values are finite, so this orders
-            // identically to partial_cmp without an unwrap on the NaN arm.
+            // total_cmp: builder-validated values are finite, so this is
+            // partial_cmp's order except that -0.0 sorts before 0.0, with
+            // no unwrap on a NaN arm.
             idx.sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
             idx
         })
@@ -200,17 +201,8 @@ impl Dataset {
         if m == n {
             return self.sort_index(attr).to_vec();
         }
-        // Direct sort wins while m·log₂m stays under the full-scan cost.
-        let direct = m == 0 || m * (usize::BITS - m.leading_zeros()) as usize <= n;
-        let Column::Num(vals) = &self.columns[attr] else {
-            unreachable!()
-        };
-        if direct {
-            let mut idx = rows.to_vec();
-            // Stable sort: ties keep the caller's (ascending row id) order,
-            // matching the filtered global index below.
-            idx.sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
-            idx
+        if direct_sort_pays(m, n) {
+            self.sort_rows(attr, rows)
         } else {
             let mut mask = vec![false; n];
             for &r in rows {
@@ -222,6 +214,22 @@ impl Dataset {
                 .filter(|&r| mask[r as usize])
                 .collect()
         }
+    }
+
+    /// `rows` (sorted unique global row ids) ordered ascending by the
+    /// numeric attribute `attr` with a direct `O(m·log m)` sort. The sort
+    /// is stable, so ties keep ascending row id — the same order a filter
+    /// of [`Self::sort_index`] produces.
+    ///
+    /// # Panics
+    /// Panics if `attr` is categorical.
+    pub fn sort_rows(&self, attr: usize, rows: &[u32]) -> Vec<u32> {
+        let Column::Num(vals) = &self.columns[attr] else {
+            panic!("attribute {attr} is categorical, not numeric")
+        };
+        let mut idx = rows.to_vec();
+        idx.sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
+        idx
     }
 
     /// Weighted count of rows per class.
@@ -287,6 +295,13 @@ impl Dataset {
         #[cfg(feature = "audit")]
         crate::audit::check_finite_columns("Dataset::rebuild_after_deserialize", self);
     }
+}
+
+/// The cost rule choosing between the two ways of ordering `m` rows by a
+/// numeric attribute: a direct sort (`m·log₂m`) wins while it costs no more
+/// than filtering a `scan_len`-long sorted index that contains them.
+pub fn direct_sort_pays(m: usize, scan_len: usize) -> bool {
+    m == 0 || m * (usize::BITS - m.leading_zeros()) as usize <= scan_len
 }
 
 #[cfg(test)]

@@ -36,6 +36,7 @@ mod dict;
 mod error;
 pub mod fingerprint;
 pub mod index;
+pub mod parallel;
 mod rowset;
 mod schema;
 mod split;
@@ -48,7 +49,7 @@ pub use csv::{
     write_csv, write_csv_header_string, write_csv_rows_string, write_csv_string, ChunkedCsvReader,
     CsvOptions, LoadReport, RowPolicy,
 };
-pub use dataset::{Column, Dataset};
+pub use dataset::{direct_sort_pays, Column, Dataset};
 pub use dict::Dictionary;
 pub use error::DataError;
 pub use rowset::RowSet;

@@ -18,13 +18,18 @@
 //! [`ShardPlan`](crate::shard::ShardPlan) additionally splits the view's
 //! rows into contiguous shards whose per-shard statistics — all weight
 //! sums — merge exactly. Workers claim `(attribute × shard)` partial tasks
-//! off a shared counter (phase A); the main thread then reduces each
-//! attribute's shard partials in **shard-index order** through
-//! [`pnr_data::weights::ordered_sum`]-style left folds, charges the budget
-//! and scores candidates in ascending attribute order (phase B). Because
-//! [`find_best_condition_sequential`] accumulates through the *same* plan,
-//! the threaded scan is bit-identical to it for any worker count —
-//! including the "first best wins, lowest attribute index" tie-break.
+//! off a shared counter; the worker that completes an attribute's last
+//! shard reduces its partials in **shard-index order** through
+//! [`pnr_data::weights::ordered_sum`]-style left folds and scores the
+//! attribute's candidates. A worker never touches the budget or the
+//! telemetry sink: it records the candidate charges it *would* make, and
+//! the calling thread replays them in ascending attribute order — stopping
+//! an attribute at its first refused charge, as the sequential scan does —
+//! before offering each attribute's first-best candidate. Because
+//! [`find_best_condition_sequential`] accumulates through the *same* plan
+//! and the same scoring functions, the threaded scan is bit-identical to it
+//! for any worker count — including the "first best wins, lowest attribute
+//! index" tie-break, the budget latch and the counter totals.
 
 use crate::budget::BudgetTracker;
 use crate::condition::Condition;
@@ -34,7 +39,8 @@ use crate::task::TaskView;
 use pnr_data::weights::{approx, ordered_sum};
 use pnr_data::Column;
 use pnr_telemetry::{Counter, TelemetrySink};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Options controlling condition search.
 #[derive(Debug, Clone)]
@@ -145,7 +151,7 @@ fn budget_depleted(opts: &SearchOptions) -> bool {
 /// Minimum `view rows × attributes` product before a parallel search pays
 /// for its thread spawns. Below this the sequential scan is used even with
 /// [`SearchOptions::parallel`] set.
-pub const PARALLEL_MIN_CELLS: usize = 16 * 1024;
+pub use pnr_data::parallel::PARALLEL_MIN_CELLS;
 
 /// A scored candidate condition.
 #[derive(Debug, Clone)]
@@ -243,51 +249,80 @@ pub fn find_best_condition(
     let (pos_total, n_total) = opts
         .context
         .unwrap_or_else(|| (view.pos_weight(), view.total_weight()));
-    // Phase A: workers claim (attribute × shard) partial-statistics tasks
-    // off a shared counter (task = attr * n_shards + shard); each slot is
-    // written by exactly one worker.
-    let slots: Vec<std::sync::Mutex<Option<ShardPartial>>> =
-        (0..tasks).map(|_| std::sync::Mutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // Workers race only over *which* slot they fill; phase B below reduces
-    // each attribute's shard partials in shard-index order and visits
-    // attributes in ascending order on this thread, so the outcome is
-    // bit-identical to the sequential scan. det:merge(shard-index-order)
+    let n_shards = plan.n_shards();
+    // Workers claim (attribute × shard) partial-statistics tasks off a
+    // shared counter (task = attr * n_shards + shard); each slot is written
+    // by exactly one worker. The worker whose decrement empties an
+    // attribute's `pending` count holds all of its partials and scores it.
+    let slots: Vec<Mutex<Option<ShardPartial>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+    let pending: Vec<AtomicUsize> = (0..n_attrs).map(|_| AtomicUsize::new(n_shards)).collect();
+    let scored: Vec<Mutex<Option<AttrScan>>> = (0..n_attrs).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    // Numeric attributes cost far more than categorical ones; claiming them
+    // first leaves the cheap tasks to fill the workers' tails.
+    let mut claim_order: Vec<usize> = (0..n_attrs).collect();
+    claim_order.sort_by_key(|&a| matches!(view.data.column(a), Column::Cat(_)));
+    // Workers race only over *which* slot they fill and which of them
+    // scores an attribute; each attribute's partials reduce in shard-index
+    // order, and the replay below visits attributes in ascending order on
+    // this thread, so the outcome is bit-identical to the sequential scan.
+    // det:merge(shard-index-order)
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
-                let task = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if task >= tasks {
+                let claim = next.fetch_add(1, Ordering::Relaxed);
+                if claim >= tasks {
                     break;
                 }
-                let attr = task / plan.n_shards();
-                let (lo, hi) = plan.bounds(task % plan.n_shards());
+                let attr = claim_order[claim / n_shards];
+                let task = attr * n_shards + claim % n_shards;
+                let (lo, hi) = plan.bounds(claim % n_shards);
                 let partial = compute_shard_partial(view, attr, lo, hi);
                 // Poison recovery is sound: each slot is written by exactly
                 // one worker, and a panicked worker re-panics at scope join.
-                *slots[task]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(partial);
+                *lock(&slots[task]) = Some(partial);
+                // AcqRel: the last decrement sees every other shard's write.
+                if pending[attr].fetch_sub(1, Ordering::AcqRel) != 1 {
+                    continue;
+                }
+                let partials = slots[attr * n_shards..(attr + 1) * n_shards]
+                    .iter()
+                    .filter_map(|slot| lock(slot).take())
+                    .collect();
+                let mut scan = AttrScan::default();
+                score_merged_attribute(
+                    view,
+                    attr,
+                    partials,
+                    metric,
+                    opts,
+                    pos_total,
+                    n_total,
+                    &mut |n| {
+                        scan.charges.push(n);
+                        true
+                    },
+                    &mut scan.best,
+                );
+                *lock(&scored[attr]) = Some(scan);
             });
         }
     });
-    // Phase B: deterministic reduce + charge + score on the main thread,
-    // in ascending attribute order — the same sequence of budget charges
-    // and `Best::offer`s the sequential scan makes.
-    let mut slot_iter = slots.into_iter();
+    // Replay on this thread, in ascending attribute order: the same
+    // sequence of budget charges and `Best::offer`s the sequential scan
+    // makes. A refused charge latches the budget, so the call returns
+    // `None` below whatever the attribute's best was.
     let mut best = Best::default();
-    for attr in 0..n_attrs {
-        let partials: Vec<ShardPartial> = slot_iter
-            .by_ref()
-            .take(plan.n_shards())
-            .filter_map(|s| {
-                s.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            })
-            .collect();
-        score_merged_attribute(
-            view, attr, partials, metric, opts, pos_total, n_total, &mut best,
-        );
+    for slot in scored {
+        let scan = slot
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .unwrap_or_default();
+        if scan.charges.iter().all(|&n| charge_candidates(opts, n)) {
+            if let Some(c) = scan.best.cand {
+                best.offer(c.condition, c.stats, c.score);
+            }
+        }
     }
     if budget_depleted(opts) {
         // The budget fired somewhere in this call: discard the partial
@@ -295,6 +330,20 @@ pub fn find_best_condition(
         return None;
     }
     best.cand
+}
+
+/// One attribute's scan result from a worker: its first-best candidate
+/// and, in order, the candidate charges the scan made.
+#[derive(Default)]
+struct AttrScan {
+    best: Best,
+    charges: Vec<usize>,
+}
+
+/// Locks a worker slot, recovering from poison (a panicking worker
+/// re-panics at scope join, so a poisoned value is never trusted).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The single-threaded reference scan; [`find_best_condition`] must always
@@ -329,7 +378,15 @@ pub fn find_best_condition_sequential(
             .map(|(lo, hi)| compute_shard_partial(view, attr, lo, hi))
             .collect();
         score_merged_attribute(
-            view, attr, partials, metric, opts, pos_total, n_total, &mut best,
+            view,
+            attr,
+            partials,
+            metric,
+            opts,
+            pos_total,
+            n_total,
+            &mut |n| charge_candidates(opts, n),
+            &mut best,
         );
     }
     if budget_depleted(opts) {
@@ -373,7 +430,9 @@ fn compute_shard_partial(view: &TaskView<'_>, attr: usize, lo: usize, hi: usize)
 
 /// Merges per-attribute shard partials (in shard-index order) and scores
 /// the attribute's candidates into `best`. This is the only scoring entry
-/// point, shared verbatim by the sequential and threaded drivers.
+/// point, shared verbatim by the sequential and threaded drivers; `charge`
+/// receives each candidate charge in scan order and a `false` return stops
+/// the attribute there.
 #[allow(clippy::too_many_arguments)]
 fn score_merged_attribute(
     view: &TaskView<'_>,
@@ -383,16 +442,19 @@ fn score_merged_attribute(
     opts: &SearchOptions,
     pos_total: f64,
     n_total: f64,
+    charge: &mut dyn FnMut(usize) -> bool,
     best: &mut Best,
 ) {
     match view.data.column(attr) {
         Column::Cat(_) => {
             let (pos, tot) = merge_cat_partials(partials);
-            score_categorical(attr, &pos, &tot, metric, opts, pos_total, n_total, best);
+            score_categorical(
+                attr, &pos, &tot, metric, opts, pos_total, n_total, charge, best,
+            );
         }
         Column::Num(_) => {
             let b = merge_num_partials(partials);
-            score_numeric(attr, &b, metric, opts, pos_total, n_total, best);
+            score_numeric(attr, &b, metric, opts, pos_total, n_total, charge, best);
         }
     }
 }
@@ -476,6 +538,7 @@ fn score_categorical(
     opts: &SearchOptions,
     pos_total: f64,
     n_total: f64,
+    charge: &mut dyn FnMut(usize) -> bool,
     best: &mut Best,
 ) {
     let n_values = tot.len();
@@ -483,7 +546,7 @@ fn score_categorical(
         return;
     }
     // One scored candidate per dictionary value.
-    if !charge_candidates(opts, n_values) {
+    if !charge(n_values) {
         return;
     }
     for code in 0..n_values {
@@ -586,6 +649,7 @@ fn score_numeric(
     opts: &SearchOptions,
     pos_total: f64,
     n_total: f64,
+    charge: &mut dyn FnMut(usize) -> bool,
     best: &mut Best,
 ) {
     if b.len() < 2 {
@@ -593,7 +657,7 @@ fn score_numeric(
         return;
     }
     // Two one-sided candidates per interior boundary.
-    if !charge_candidates(opts, (b.len() - 1) * 2) {
+    if !charge((b.len() - 1) * 2) {
         return;
     }
     // b.len() >= 2 was checked above, so the last boundary exists.
@@ -658,7 +722,7 @@ fn score_numeric(
         // Best one-sided is `A > v_lo` (a finite gt_score implies the
         // candidate exists): fix lo, scan hi to the right.
         let Some((lo_idx, _)) = best_gt else { return };
-        if !charge_candidates(opts, (b.len() - 1).saturating_sub(lo_idx + 1)) {
+        if !charge((b.len() - 1).saturating_sub(lo_idx + 1)) {
             return;
         }
         for hi_idx in lo_idx + 1..b.len() - 1 {
@@ -681,7 +745,7 @@ fn score_numeric(
         // Best one-sided is `A ≤ v_hi` (a finite le_score implies the
         // candidate exists): fix hi, scan lo to the left.
         let Some((hi_idx, _)) = best_le else { return };
-        if !charge_candidates(opts, hi_idx) {
+        if !charge(hi_idx) {
             return;
         }
         for lo_idx in 0..hi_idx {

@@ -12,16 +12,16 @@
 //! it by construction rather than by luck.
 //!
 //! [`worker_count`] is the one policy deciding how many worker threads a
-//! search spawns. It unifies what used to be three divergent inline
-//! computations in `find_best_condition` (the explicit-cap force-threaded
-//! branch, the `parallel_min_cells == 0` forced-floor hack, and the default
-//! size heuristic) and is shared by the attribute-level and row-sharded
-//! paths — the task count it caps against is `attributes × shards`.
+//! search spawns; it lives in [`pnr_data::parallel`] so the CSV ingest uses
+//! the same rule, and is re-exported here. The search's task count is
+//! `attributes × shards`.
 
 /// Rows per shard the automatic plan aims for. Chosen so a shard's partial
 /// statistics stay cache-friendly while leaving enough shards to occupy a
 /// large machine on KDD-scale (millions of rows) datasets.
 pub const SHARD_TARGET_ROWS: usize = 65_536;
+
+pub use pnr_data::parallel::worker_count;
 
 /// A deterministic split of `n_rows` contiguous rows into balanced chunks.
 ///
@@ -84,44 +84,6 @@ impl ShardPlan {
     }
 }
 
-/// The single worker-count policy for condition search.
-///
-/// Returns how many worker threads to spawn for a search of `tasks`
-/// independent units (`attributes × shards`) over `cells = rows ×
-/// attributes`, given `available` hardware threads. A return of `1` means
-/// the caller must take the sequential reference scan. The three historical
-/// behaviours are preserved exactly:
-///
-/// * `max_workers == Some(1)` (or `parallel` off, or a degenerate search
-///   with at most one task) → sequential;
-/// * `max_workers == Some(k > 1)` forces the threaded path even below the
-///   cell threshold, with at least two workers so single-core hosts still
-///   exercise the worker merge (thread-count sweeps rely on this);
-/// * `max_workers == None` engages threads only when `cells` reaches
-///   `parallel_min_cells`; an explicit `0` threshold keeps the historical
-///   forced floor of two workers.
-pub fn worker_count(
-    parallel: bool,
-    max_workers: Option<usize>,
-    parallel_min_cells: usize,
-    cells: usize,
-    tasks: usize,
-    available: usize,
-) -> usize {
-    if !parallel || tasks <= 1 {
-        return 1;
-    }
-    match max_workers {
-        Some(cap) if cap <= 1 => 1,
-        Some(cap) => available.max(2).min(cap).min(tasks),
-        None if cells >= parallel_min_cells => {
-            let forced_floor = if parallel_min_cells == 0 { 2 } else { 1 };
-            available.max(forced_floor).min(tasks)
-        }
-        None => 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,40 +143,5 @@ mod tests {
             a.ranges().collect::<Vec<_>>(),
             b.ranges().collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn sequential_cases_return_one_worker() {
-        // parallel off
-        assert_eq!(worker_count(false, None, 0, 1 << 20, 64, 8), 1);
-        // degenerate search: at most one task
-        assert_eq!(worker_count(true, None, 0, 1 << 20, 1, 8), 1);
-        assert_eq!(worker_count(true, Some(8), 0, 1 << 20, 0, 8), 1);
-        // explicit sequential cap
-        assert_eq!(worker_count(true, Some(1), 0, 1 << 20, 64, 8), 1);
-        assert_eq!(worker_count(true, Some(0), 0, 1 << 20, 64, 8), 1);
-        // below the size threshold with no explicit cap
-        assert_eq!(worker_count(true, None, 16 * 1024, 100, 64, 8), 1);
-    }
-
-    #[test]
-    fn explicit_cap_forces_threads_below_the_threshold() {
-        // Small search, cap 4, 8 hardware threads: threaded with 4 workers.
-        assert_eq!(worker_count(true, Some(4), 16 * 1024, 100, 64, 8), 4);
-        // A single-core host still gets the two-worker floor under a cap.
-        assert_eq!(worker_count(true, Some(4), 16 * 1024, 100, 64, 1), 2);
-        // Never more workers than tasks.
-        assert_eq!(worker_count(true, Some(16), 0, 1 << 20, 3, 8), 3);
-    }
-
-    #[test]
-    fn default_heuristic_uses_available_parallelism() {
-        // Above threshold: one worker per hardware thread, capped by tasks.
-        assert_eq!(worker_count(true, None, 16 * 1024, 1 << 20, 64, 8), 8);
-        assert_eq!(worker_count(true, None, 16 * 1024, 1 << 20, 3, 8), 3);
-        // Single core above the threshold stays sequential (floor 1).
-        assert_eq!(worker_count(true, None, 16 * 1024, 1 << 20, 64, 1), 1);
-        // A zero threshold forces the historical two-worker floor.
-        assert_eq!(worker_count(true, None, 0, 0, 64, 1), 2);
     }
 }

@@ -8,18 +8,27 @@
 //!
 //! A [`ViewIndex`] makes that cost view-proportional: each view owns a set
 //! of lazily-built per-attribute row lists sorted by attribute value, and a
-//! view derived via `restricted_to`/`without` chains back to its parent, so
-//! a child's projection is built by filtering the nearest materialised
-//! ancestor projection — `O(|ancestor view|)` — instead of re-scanning the
-//! dataset. A root view (no ancestor) builds from the dataset directly in
-//! `O(min(n_rows, m·log m))`.
+//! view derived via `restricted_to`/`without` chains back to its parent.
+//! A projection is built from its *source* — the nearest ancestor that has
+//! already materialised the attribute, else the dataset's global sort
+//! index — in one of three ways:
+//!
+//! * the view has as many rows as the source: the rows are the same, so
+//!   the source projection is shared as is;
+//! * `m·⌈log₂ m⌉ ≤ |source|` for a view of `m` rows: the view's rows are
+//!   sorted directly ([`pnr_data::direct_sort_pays`], the rule
+//!   `Dataset::sorted_projection` uses);
+//! * otherwise the source is filtered through the view's dense membership
+//!   bitmap (`n_rows` bits, built once per view on first use and shared
+//!   by every attribute and worker thread) — `O(|source|)` with one bit
+//!   probe per row.
 //!
 //! All paths produce the identical ordering (ascending value, ties in row
 //! order), so swapping build strategies never changes search results — the
 //! accumulation order of weight sums, and hence every floating-point
 //! boundary statistic, is bit-identical.
 
-use pnr_data::{Dataset, RowSet};
+use pnr_data::{direct_sort_pays, Dataset, RowSet};
 use std::sync::{Arc, OnceLock};
 
 /// Lazily-built sorted row projections for one view, chained to the parent
@@ -31,6 +40,9 @@ pub struct ViewIndex {
     rows: RowSet,
     parent: Option<Arc<ViewIndex>>,
     per_attr: Vec<OnceLock<Arc<Vec<u32>>>>,
+    /// Dense membership bitmap over the dataset's rows (bit `r` set iff row
+    /// `r` is in the view), built by the first filtered projection.
+    members: OnceLock<Vec<u64>>,
 }
 
 impl ViewIndex {
@@ -41,6 +53,7 @@ impl ViewIndex {
             rows,
             parent: None,
             per_attr: (0..n_attrs).map(|_| OnceLock::new()).collect(),
+            members: OnceLock::new(),
         })
     }
 
@@ -51,6 +64,7 @@ impl ViewIndex {
             rows,
             parent: Some(self.clone()),
             per_attr: (0..self.per_attr.len()).map(|_| OnceLock::new()).collect(),
+            members: OnceLock::new(),
         })
     }
 
@@ -73,10 +87,9 @@ impl ViewIndex {
             .get_or_init(|| {
                 // Filter the nearest ancestor that has already materialised
                 // this attribute; never *force* an ancestor — if none has
-                // built it, going to the dataset directly is cheaper than
-                // materialising the whole chain.
+                // built it, the dataset's global sort index is the source.
                 let mut ancestor = self.parent.as_deref();
-                let source = loop {
+                let cached = loop {
                     match ancestor {
                         None => break None,
                         Some(a) => match a.per_attr[attr].get() {
@@ -85,13 +98,26 @@ impl ViewIndex {
                         },
                     }
                 };
-                let proj = match source {
-                    Some(p) => p
-                        .iter()
-                        .copied()
-                        .filter(|&r| self.rows.contains(r))
-                        .collect::<Vec<u32>>(),
-                    None => data.sorted_projection(attr, self.rows.as_slice()),
+                let m = self.rows.len();
+                let proj = match cached {
+                    // A subset of the source's rows with as many rows *is*
+                    // the source's row set: share its projection.
+                    Some(p) if m == p.len() => p.clone(),
+                    _ => {
+                        let source = cached.map_or_else(|| data.sort_index(attr), |p| p.as_slice());
+                        Arc::new(if m == source.len() {
+                            source.to_vec()
+                        } else if direct_sort_pays(m, source.len()) {
+                            data.sort_rows(attr, self.rows.as_slice())
+                        } else {
+                            let members = self.members(data.n_rows());
+                            source
+                                .iter()
+                                .copied()
+                                .filter(|&r| (members[r as usize / 64] >> (r % 64)) & 1 == 1)
+                                .collect()
+                        })
+                    }
                 };
                 // Fires when a derived view's rows are not a subset of its
                 // ancestor's (the filter then silently drops rows) or a
@@ -104,9 +130,20 @@ impl ViewIndex {
                     self.rows.as_slice(),
                     &proj,
                 );
-                Arc::new(proj)
+                proj
             })
             .clone()
+    }
+
+    /// The view's membership bitmap over `n_rows` dataset rows.
+    fn members(&self, n_rows: usize) -> &[u64] {
+        self.members.get_or_init(|| {
+            let mut bits = vec![0u64; n_rows.div_ceil(64)];
+            for r in self.rows.iter() {
+                bits[r as usize / 64] |= 1 << (r % 64);
+            }
+            bits
+        })
     }
 }
 
@@ -168,6 +205,16 @@ mod tests {
             *child.projection(&d, 1),
             d.sorted_projection(1, child_rows.as_slice())
         );
+    }
+
+    #[test]
+    fn same_size_child_shares_the_ancestor_projection() {
+        let d = data();
+        let parent = ViewIndex::root(RowSet::all(40), d.n_attrs());
+        let built = parent.projection(&d, 0);
+        // `without` an empty set keeps every row: nothing to filter.
+        let child = parent.derive(RowSet::all(40));
+        assert!(Arc::ptr_eq(&built, &child.projection(&d, 0)));
     }
 
     #[test]
