@@ -89,4 +89,4 @@ pub use serving::{
     ServingValue, UnknownKind, UnknownPolicy,
 };
 pub use tune::{fit_auto, prune_n_rules, AutoTuneOptions};
-pub use windowed::{recall_on, refit_window, RefitError, RefitEval, RefitOptions};
+pub use windowed::{recall_on, refit_window, split_window, RefitError, RefitEval, RefitOptions};

@@ -8,20 +8,23 @@
 //! on a held-back slice of the window must not regress more than
 //! `recall_tolerance` below the baseline artifact's recall on the same
 //! slice. Only a validated candidate is returned; every failure mode
-//! (no target rows, fit panic, recall regression) is a typed
-//! [`RefitError`] so the supervisor can log it and keep the
-//! last-known-good model serving.
+//! (too few target rows to fit, no target rows to validate on, fit
+//! panic, recall regression) is a typed [`RefitError`] so the supervisor
+//! can log it and keep the last-known-good model serving.
 //!
 //! The split is deterministic: every `holdout_stride`-th row of the
 //! window is held back for validation and never shown to the fit, so a
 //! refit is reproducible from the window alone — no RNG, no wall clock.
+//! [`split_window`] copies only the training rows; validation scores the
+//! held-back rows in the window itself.
 
 use crate::artifact::{ArtifactError, ModelArtifact};
 use crate::fit_checkpoint::FitCheckpointStore;
 use crate::learn::PnruleLearner;
 use crate::params::PnruleParams;
 use crate::serving::ServingModel;
-use pnr_data::{AttrType, Dataset, DatasetBuilder, Value};
+use pnr_data::index::row_id;
+use pnr_data::Dataset;
 use pnr_telemetry::{Span, SpanKind, TelemetrySink};
 use std::fmt;
 use std::sync::Arc;
@@ -86,6 +89,12 @@ pub enum RefitError {
         /// The configured minimum.
         need: usize,
     },
+    /// The held-back slice holds no target-class rows, so recall on it
+    /// is undefined and the candidate cannot be validated.
+    NoHoldoutTargets {
+        /// Rows in the held-back slice.
+        holdout_rows: usize,
+    },
     /// `holdout_stride` < 2 — no rows would be held back (or none
     /// trained on), so validation would be vacuous.
     BadHoldoutStride {
@@ -121,6 +130,10 @@ impl fmt::Display for RefitError {
                 f,
                 "TooFewTargetRows: training slice holds {have} target row(s), need {need}"
             ),
+            RefitError::NoHoldoutTargets { holdout_rows } => write!(
+                f,
+                "NoHoldoutTargets: no target row among {holdout_rows} held-back row(s) to validate on"
+            ),
             RefitError::BadHoldoutStride { stride } => write!(
                 f,
                 "BadHoldoutStride: holdout stride {stride} leaves nothing to train or validate on"
@@ -155,71 +168,31 @@ impl From<ArtifactError> for RefitError {
     }
 }
 
-/// Copies the rows of `data` selected by `keep(row)` into a fresh
-/// dataset with byte-identical schema (attribute order, dictionary
-/// codes and class codes all pre-registered from the source), so rule
-/// conditions learned on a slice are meaningful on the whole.
-fn select_rows(data: &Dataset, mut keep: impl FnMut(usize) -> bool) -> Result<Dataset, RefitError> {
-    let schema = data.schema();
-    let mut b = DatasetBuilder::new();
-    for a in &schema.attributes {
-        b.add_attribute(a.name.clone(), a.ty);
-    }
-    for (ai, a) in schema.attributes.iter().enumerate() {
-        if a.ty == AttrType::Categorical {
-            for code in 0..a.dict.len() {
-                let code = u32::try_from(code).map_err(|_| {
-                    RefitError::Artifact(ArtifactError::Malformed {
-                        detail: "dictionary code does not fit u32".to_string(),
-                    })
-                })?;
-                b.add_cat_value(ai, a.dict.name(code));
-            }
-        }
-    }
-    for class in 0..schema.n_classes() {
-        let class = u32::try_from(class).map_err(|_| {
-            RefitError::Artifact(ArtifactError::Malformed {
-                detail: "class code does not fit u32".to_string(),
-            })
-        })?;
-        b.add_class(schema.classes.name(class));
-    }
-    let mut values = Vec::with_capacity(schema.n_attrs());
-    for row in 0..data.n_rows() {
-        if !keep(row) {
-            continue;
-        }
-        values.clear();
-        for (ai, a) in schema.attributes.iter().enumerate() {
-            values.push(match a.ty {
-                AttrType::Numeric => Value::num(data.num(ai, row)),
-                AttrType::Categorical => Value::cat(data.cat_name(ai, row)),
-            });
-        }
-        b.push_row(
-            &values,
-            schema.classes.name(data.label(row)),
-            data.weight(row),
-        )
-        .map_err(|e| {
-            RefitError::Artifact(ArtifactError::Malformed {
-                detail: format!("window row {row} failed to copy: {e}"),
-            })
-        })?;
-    }
-    Ok(b.finish())
+/// Splits `window` for a refit into the training slice — one column
+/// gather under the window's own schema, so codes are unchanged — and the
+/// ids of the held-back rows (`r % holdout_stride == holdout_stride - 1`),
+/// which validation reads in place. [`refit_window`] refuses strides < 2.
+pub fn split_window(window: &Dataset, holdout_stride: usize) -> (Dataset, Vec<u32>) {
+    let (holdout, train): (Vec<u32>, Vec<u32>) = (0..window.n_rows())
+        .map(row_id)
+        .partition(|&r| r as usize % holdout_stride == holdout_stride - 1);
+    (window.select_rows(&train), holdout)
 }
 
-/// Target-class recall of `model` over every row of `data`: the fraction
-/// of target-labelled rows the model decided positive. Rows the serving
-/// layer refuses to score count as misses — a model that quarantines the
-/// target class has not recalled it.
-pub fn recall_on(model: &ServingModel, data: &Dataset, target: u32) -> Result<f64, ArtifactError> {
+/// Target-class recall of `model` over `rows` of `data`: the fraction of
+/// target-labelled rows the model decided positive, 0.0 when there are
+/// none. Rows the serving layer refuses to score count as misses — a
+/// model that quarantines the target class has not recalled it.
+fn recall_on_rows(
+    model: &ServingModel,
+    data: &Dataset,
+    rows: impl Iterator<Item = usize>,
+    target: u32,
+) -> Result<f64, ArtifactError> {
     let map = model.reconcile_dataset(data)?;
     let mut targets = 0usize;
     let mut hits = 0usize;
-    for row in 0..data.n_rows() {
+    for row in rows {
         if data.label(row) != target {
             continue;
         }
@@ -236,6 +209,12 @@ pub fn recall_on(model: &ServingModel, data: &Dataset, target: u32) -> Result<f6
     let targets_f = u32::try_from(targets).map(f64::from).unwrap_or(f64::MAX);
     let hits_f = u32::try_from(hits).map(f64::from).unwrap_or(f64::MAX);
     Ok(hits_f / targets_f)
+}
+
+/// Target-class recall of `model` over every row of `data` (see
+/// `recall_on_rows`).
+pub fn recall_on(model: &ServingModel, data: &Dataset, target: u32) -> Result<f64, ArtifactError> {
+    recall_on_rows(model, data, 0..data.n_rows(), target)
 }
 
 /// Fits a refit candidate on `window` and validates it against the
@@ -261,15 +240,22 @@ pub fn refit_window(
         .ok_or_else(|| RefitError::TargetMissing {
             target: target_class.to_string(),
         })?;
-    let stride = opts.holdout_stride;
-    let is_holdout = |row: usize| row % stride == stride - 1;
-    let train = select_rows(window, |r| !is_holdout(r))?;
-    let holdout = select_rows(window, is_holdout)?;
+    let (train, holdout) = {
+        let _span = Span::enter(sink.as_ref(), SpanKind::RefitSplit, target_class);
+        split_window(window, opts.holdout_stride)
+    };
     let train_targets = train.labels().iter().filter(|&&l| l == target).count();
     if train_targets < opts.min_target_rows {
         return Err(RefitError::TooFewTargetRows {
             have: train_targets,
             need: opts.min_target_rows,
+        });
+    }
+    let is_target = |&&r: &&u32| window.label(r as usize) == target;
+    let holdout_targets = holdout.iter().filter(is_target).count();
+    if holdout_targets == 0 {
+        return Err(RefitError::NoHoldoutTargets {
+            holdout_rows: holdout.len(),
         });
     }
 
@@ -300,19 +286,13 @@ pub fn refit_window(
     let eval = {
         let _span = Span::enter(sink.as_ref(), SpanKind::RefitValidate, target_class);
         let candidate_serving = ServingModel::new(candidate.clone());
-        let candidate_recall = recall_on(&candidate_serving, &holdout, target)?;
-        let holdout_target_code = holdout.class_code(target_class).unwrap_or(target);
-        let baseline_recall = recall_on(baseline, &holdout, holdout_target_code)?;
+        let holdout_ids = || holdout.iter().map(|&r| r as usize);
         RefitEval {
-            candidate_recall,
-            baseline_recall,
+            candidate_recall: recall_on_rows(&candidate_serving, window, holdout_ids(), target)?,
+            baseline_recall: recall_on_rows(baseline, window, holdout_ids(), target)?,
             train_rows: train.n_rows(),
-            holdout_rows: holdout.n_rows(),
-            holdout_targets: holdout
-                .labels()
-                .iter()
-                .filter(|&&l| l == holdout_target_code)
-                .count(),
+            holdout_rows: holdout.len(),
+            holdout_targets,
         }
     };
     if eval.candidate_recall + opts.recall_tolerance < eval.baseline_recall {
@@ -364,17 +344,49 @@ mod tests {
     }
 
     #[test]
-    fn select_rows_preserves_schema_and_codes() {
+    fn split_window_gathers_the_training_rows_under_the_window_schema() {
         let data = window(90);
-        let every_third = select_rows(&data, |r| r % 3 == 0).unwrap();
-        assert_eq!(every_third.n_rows(), 30);
+        let (train, holdout) = split_window(&data, 3);
+        assert_eq!(train.n_rows(), 60);
+        assert_eq!(holdout, (0..30).map(|i| 3 * i + 2).collect::<Vec<u32>>());
         assert_eq!(
-            every_third.schema().fingerprint(),
+            train.schema().fingerprint(),
             data.schema().fingerprint(),
-            "pre-registered schema must be byte-identical to the source"
+            "the training slice must keep the window's codes"
         );
-        assert_eq!(every_third.label(0), data.label(0));
-        assert_eq!(every_third.num(0, 1), data.num(0, 3));
+        assert_eq!(train.label(2), data.label(3));
+        assert_eq!(train.num(0, 2), data.num(0, 3));
+    }
+
+    /// Targets only on rows the fit sees: the held-back slice has none,
+    /// so both recalls would be a vacuous 0.0 and the candidate would
+    /// pass unvalidated.
+    #[test]
+    fn holdout_without_targets_is_refused() {
+        let mut b = DatasetBuilder::new();
+        b.add_attribute("x", AttrType::Numeric);
+        for i in 0..600u32 {
+            let x = f64::from(i % 100);
+            let target = x > 50.0 && i % 5 != 4;
+            b.push_row(&[Value::num(x)], if target { "rare" } else { "rest" }, 1.0)
+                .unwrap();
+        }
+        let data = b.finish();
+        let baseline = ServingModel::new(baseline_artifact(&data));
+        let err = refit_window(
+            &data,
+            "rare",
+            &baseline,
+            &RefitOptions::default(),
+            &FitCheckpointStore::disabled(),
+            &pnr_telemetry::noop(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, RefitError::NoHoldoutTargets { holdout_rows: 120 }),
+            "{err}"
+        );
+        assert!(err.to_string().starts_with("NoHoldoutTargets:"), "{err}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::schema::{AttrType, Schema};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One attribute column of a dataset.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -44,7 +44,7 @@ pub struct Dataset {
     labels: Vec<u32>,
     weights: Vec<f64>,
     #[serde(skip)]
-    sort_indexes: Vec<OnceLock<Vec<u32>>>,
+    sort_indexes: Vec<OnceLock<Arc<Vec<u32>>>>,
 }
 
 impl Dataset {
@@ -161,6 +161,12 @@ impl Dataset {
     /// # Panics
     /// Panics if `attr` is categorical.
     pub fn sort_index(&self, attr: usize) -> &[u32] {
+        self.shared_sort_index(attr)
+    }
+
+    /// [`Self::sort_index`] as its cached `Arc`, so a view over every row
+    /// can keep the permutation without copying it.
+    pub fn shared_sort_index(&self, attr: usize) -> &Arc<Vec<u32>> {
         assert_eq!(
             self.schema.attr(attr).ty,
             AttrType::Numeric,
@@ -175,7 +181,7 @@ impl Dataset {
             // partial_cmp's order except that -0.0 sorts before 0.0, with
             // no unwrap on a NaN arm.
             idx.sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
-            idx
+            Arc::new(idx)
         })
     }
 

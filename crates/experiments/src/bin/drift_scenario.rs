@@ -12,8 +12,9 @@
 //! [`DriftDetector`]; on a `refit` verdict the adaptive pipeline refits
 //! on the current window through [`pnr_core::refit_window`] (validation
 //! gate included) and adopts the candidate. Reports per-window recall for
-//! both pipelines, the detection lag in windows, and the post-shift
-//! recall recovery, as one JSON document.
+//! both pipelines, the detection lag in windows, the post-shift recall
+//! recovery, and each refit's `split_ms`/`fit_ms`/`validate_ms` stage
+//! times (from its telemetry spans), as one JSON document.
 
 use pnr_core::{
     refit_window, FitCheckpointStore, ModelArtifact, PnruleLearner, PnruleParams, RefitOptions,
@@ -21,7 +22,7 @@ use pnr_core::{
 };
 use pnr_data::Dataset;
 use pnr_sentinel::{DetectorConfig, DriftDetector, DriftVerdict, WindowDelta};
-use pnr_telemetry::{RecordingSink, TelemetrySink};
+use pnr_telemetry::{RecordingSink, SpanKind, TelemetrySink};
 use std::sync::Arc;
 
 struct Options {
@@ -142,7 +143,8 @@ fn score_window(model: &ServingModel, data: &Dataset, target: u32) -> WindowStat
 
 fn main() {
     let o = parse_args();
-    let sink: Arc<dyn TelemetrySink> = Arc::new(RecordingSink::new());
+    let recording = Arc::new(RecordingSink::new());
+    let sink: Arc<dyn TelemetrySink> = recording.clone();
 
     // boot model, trained on the pre-shift mix
     let train = pnr_kddsim::generate_train(2000, o.seed);
@@ -197,19 +199,30 @@ fn main() {
             if detection_lag.is_none() && w >= shift_window {
                 detection_lag = Some(w - shift_window);
             }
-            match refit_window(&chunk, &o.target, &adaptive, &refit_opts, &store, &sink) {
+            let spans_before = recording.completed_spans().len();
+            let refit = refit_window(&chunk, &o.target, &adaptive, &refit_opts, &store, &sink);
+            let spans = recording.completed_spans();
+            let ms = |kind| -> f64 {
+                let of_kind = spans[spans_before..].iter().filter(|s| s.kind == kind);
+                of_kind.map(|s| s.wall_ns as f64 / 1e6).sum()
+            };
+            let outcome = match refit {
                 Ok((candidate, eval)) => {
-                    refit_lines.push(format!(
-                        "{{\"window\":{w},\"adopted\":true,\
-                         \"candidate_recall\":{:.4},\"baseline_recall\":{:.4}}}",
-                        eval.candidate_recall, eval.baseline_recall
-                    ));
                     adaptive = ServingModel::new(candidate);
+                    format!(
+                        "\"adopted\":true,\"candidate_recall\":{:.4},\"baseline_recall\":{:.4}",
+                        eval.candidate_recall, eval.baseline_recall
+                    )
                 }
-                Err(e) => refit_lines.push(format!(
-                    "{{\"window\":{w},\"adopted\":false,\"reason\":\"{e}\"}}"
-                )),
-            }
+                Err(e) => format!("\"adopted\":false,\"reason\":\"{e}\""),
+            };
+            refit_lines.push(format!(
+                "{{\"window\":{w},{outcome},\
+                 \"split_ms\":{:.3},\"fit_ms\":{:.3},\"validate_ms\":{:.3}}}",
+                ms(SpanKind::RefitSplit),
+                ms(SpanKind::RefitFit),
+                ms(SpanKind::RefitValidate),
+            ));
         }
         static_recalls.push(st.recall());
         adaptive_recalls.push(ad.recall());

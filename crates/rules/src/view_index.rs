@@ -14,7 +14,9 @@
 //! index — in one of three ways:
 //!
 //! * the view has as many rows as the source: the rows are the same, so
-//!   the source projection is shared as is;
+//!   the source projection is shared as is — for a full-size view with no
+//!   materialised ancestor that is the dataset's own cached sort index, so
+//!   a fit over every row copies no projection at all;
 //! * `m·⌈log₂ m⌉ ≤ |source|` for a view of `m` rows: the view's rows are
 //!   sorted directly ([`pnr_data::direct_sort_pays`], the rule
 //!   `Dataset::sorted_projection` uses);
@@ -89,35 +91,29 @@ impl ViewIndex {
                 // this attribute; never *force* an ancestor — if none has
                 // built it, the dataset's global sort index is the source.
                 let mut ancestor = self.parent.as_deref();
-                let cached = loop {
+                let source = loop {
                     match ancestor {
-                        None => break None,
+                        None => break data.shared_sort_index(attr),
                         Some(a) => match a.per_attr[attr].get() {
-                            Some(p) => break Some(p),
+                            Some(p) => break p,
                             None => ancestor = a.parent.as_deref(),
                         },
                     }
                 };
                 let m = self.rows.len();
-                let proj = match cached {
+                let proj = if m == source.len() {
                     // A subset of the source's rows with as many rows *is*
                     // the source's row set: share its projection.
-                    Some(p) if m == p.len() => p.clone(),
-                    _ => {
-                        let source = cached.map_or_else(|| data.sort_index(attr), |p| p.as_slice());
-                        Arc::new(if m == source.len() {
-                            source.to_vec()
-                        } else if direct_sort_pays(m, source.len()) {
-                            data.sort_rows(attr, self.rows.as_slice())
-                        } else {
-                            let members = self.members(data.n_rows());
-                            source
-                                .iter()
-                                .copied()
-                                .filter(|&r| (members[r as usize / 64] >> (r % 64)) & 1 == 1)
-                                .collect()
-                        })
-                    }
+                    source.clone()
+                } else if direct_sort_pays(m, source.len()) {
+                    Arc::new(data.sort_rows(attr, self.rows.as_slice()))
+                } else {
+                    let members = self.members(data.n_rows());
+                    let filtered = source
+                        .iter()
+                        .copied()
+                        .filter(|&r| (members[r as usize / 64] >> (r % 64)) & 1 == 1);
+                    Arc::new(filtered.collect())
                 };
                 // Fires when a derived view's rows are not a subset of its
                 // ancestor's (the filter then silently drops rows) or a
@@ -191,6 +187,15 @@ mod tests {
         let a = idx.projection(&d, 0);
         let b = idx.projection(&d, 0);
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn full_root_projection_shares_the_sort_index() {
+        let d = data();
+        let idx = ViewIndex::root(RowSet::all(40), d.n_attrs());
+        let proj = idx.projection(&d, 1);
+        assert!(Arc::ptr_eq(&proj, d.shared_sort_index(1)));
+        assert_eq!(proj.as_ptr(), d.sort_index(1).as_ptr());
     }
 
     #[test]

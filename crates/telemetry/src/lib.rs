@@ -224,6 +224,8 @@ pub enum SpanKind {
     ServeSwap,
     /// One drift-detector window evaluation.
     DriftCheck,
+    /// One refit window split into its training slice and held-back rows.
+    RefitSplit,
     /// One windowed refit fit (through the checkpointed pipeline).
     RefitFit,
     /// One candidate validation against the held-back slice.
@@ -247,6 +249,7 @@ impl SpanKind {
             SpanKind::ServeRequest => "serve_request",
             SpanKind::ServeSwap => "serve_swap",
             SpanKind::DriftCheck => "drift_check",
+            SpanKind::RefitSplit => "refit_split",
             SpanKind::RefitFit => "refit_fit",
             SpanKind::RefitValidate => "refit_validate",
             SpanKind::RefitPublish => "refit_publish",
