@@ -288,6 +288,94 @@ fn non_finite_thresholds_cannot_reach_disk() {
     assert_eq!(back.model.p_rules, artifact.model.p_rules);
 }
 
+/// A validated artifact over `intrusion_like`'s schema (`x` numeric,
+/// `service` categorical) with one P-rule (`x ≤ 50`) and one N-rule
+/// (`service = web`), so either list can be tampered in place.
+fn hand_built_artifact() -> ModelArtifact {
+    use pnr_core::{PnruleModel, ScoreMatrix};
+    use pnr_rules::{Condition, Rule, RuleSet};
+    let d = intrusion_like(200, 0);
+    let target = d.class_code("r2l").unwrap();
+    let is_pos: Vec<bool> = (0..d.n_rows()).map(|r| d.label(r) == target).collect();
+    let web = d.schema().attr(1).dict.code("web").unwrap();
+    let p_rules = RuleSet::from_rules(vec![Rule::new(vec![Condition::NumLe {
+        attr: 0,
+        value: 50.0,
+    }])]);
+    let n_rules = RuleSet::from_rules(vec![Rule::new(vec![Condition::CatEq {
+        attr: 1,
+        value: web,
+    }])]);
+    let score_matrix = ScoreMatrix::build(&d, &is_pos, &p_rules, &n_rules, 1.0);
+    let model = PnruleModel {
+        target,
+        threshold: 0.5,
+        p_rules,
+        n_rules,
+        score_matrix,
+    };
+    let params = PnruleParams::default();
+    let (_, report) = PnruleLearner::new(params.clone()).fit_with_report(&d, target);
+    ModelArtifact::new(model, params, report, d.schema().clone()).unwrap()
+}
+
+#[test]
+fn conditions_of_the_wrong_kind_cannot_be_saved_or_loaded() {
+    // A `CatEq` on the numeric `x` and a threshold on the categorical
+    // `service`, in either rule list: `save` refuses them, and a body
+    // carrying one is refused on load even under a correct checksum.
+    use pnr_rules::{Condition, Rule, RuleSet};
+    let artifact = hand_built_artifact();
+    let text = artifact.to_file_string().unwrap();
+    let (_, payload) = text.split_once('\n').unwrap();
+    let dir = std::env::temp_dir().join(format!("pnr_kind_{}", std::process::id()));
+    let path = dir.join("model.artifact");
+    for (cond, wrong) in [
+        (
+            Condition::CatEq { attr: 0, value: 0 },
+            "category equality on numeric attribute `x`",
+        ),
+        (
+            Condition::NumGt {
+                attr: 1,
+                value: 0.5,
+            },
+            "a numeric threshold on categorical attribute `service`",
+        ),
+    ] {
+        for list in ["P", "N"] {
+            let mut tampered = artifact.clone();
+            let rules = match list {
+                "P" => &mut tampered.model.p_rules,
+                _ => &mut tampered.model.n_rules,
+            };
+            let clean = serde_json::to_string(&*rules).unwrap();
+            *rules = RuleSet::from_rules(vec![Rule::new(vec![cond.clone()])]);
+            let dirty = serde_json::to_string(&*rules).unwrap();
+            let what = format!("{list}-rule 0 tests {wrong}");
+
+            match tampered.save(&path) {
+                Err(ArtifactError::Malformed { detail }) => {
+                    assert!(detail.contains(&what), "{detail}");
+                }
+                other => panic!("save {what}: expected Malformed, got {other:?}"),
+            }
+            assert!(!path.exists(), "no file may be written for {what}");
+
+            assert_eq!(payload.matches(&clean).count(), 1, "{list} list not unique");
+            let body = payload.replace(&clean, &dirty);
+            let digest = pnr_data::fingerprint::fnv1a_64(body.as_bytes());
+            match ModelArtifact::from_file_str(&format!("{digest:016x}\n{body}")) {
+                Err(ArtifactError::Malformed { detail }) => {
+                    assert!(detail.contains(&what), "{detail}");
+                }
+                other => panic!("load {what}: expected Malformed, got {other:?}"),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn error_displays_lead_with_the_variant_name() {
     assert!(ArtifactError::ChecksumMismatch

@@ -165,6 +165,29 @@ fn missing_column_is_rejected_by_default() {
 }
 
 #[test]
+fn a_stored_column_named_twice_is_a_schema_mismatch() {
+    let (artifact, _) = serving_artifact();
+    let serving = ServingModel::new(artifact);
+    // under either missing-column policy: the CSV loader refuses the same
+    // header, and scoring the first copy would silently ignore the second
+    for policy in [MissingColumnPolicy::Reject, MissingColumnPolicy::Default] {
+        let serving = serving.clone().with_missing_policy(policy);
+        match serving.reconcile_header(&["x", "service", "x"]) {
+            Err(ArtifactError::SchemaMismatch { detail }) => {
+                assert!(detail.contains("`x`"), "{detail}");
+            }
+            other => panic!("expected SchemaMismatch, got {other:?}"),
+        }
+    }
+    // a duplicated extra column maps to nothing and stays ignored
+    let map = serving
+        .reconcile_header(&["duration", "x", "duration", "service"])
+        .unwrap();
+    assert_eq!(map.n_missing(), 0);
+    assert_eq!(map.n_extra(), 2);
+}
+
+#[test]
 fn defaulted_missing_column_is_an_unknown_value() {
     let (artifact, _) = serving_artifact();
     let expected = p_no_n_score(&artifact);

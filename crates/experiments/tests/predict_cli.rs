@@ -244,6 +244,55 @@ fn predict_policies_pin_fault_behavior_and_counters() {
 }
 
 #[test]
+fn predict_error_lines_are_json_for_any_field_bytes() {
+    let dir = temp_dir("error_json");
+    let artifact = make_artifact(&dir);
+    let csv = dir.join("hostile.csv");
+    let out = run(
+        "kdd_csv",
+        &["--rows", "4", "--seed", "5", "--out", csv.to_str().unwrap()],
+    );
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    // numeric fields holding a control character, a quote and a
+    // backslash: each row is a structural error whose text embeds the
+    // raw field
+    let hostile = ["7\u{1}", "say \"hi\"", "c:\\path", "\u{1}\"\\"];
+    let mut text = std::fs::read_to_string(&csv).unwrap();
+    for (row, raw) in hostile.iter().enumerate() {
+        text = patch_field(&text, row, "src_bytes", raw);
+    }
+    std::fs::write(&csv, text).unwrap();
+    let out = run(
+        "predict",
+        &[
+            "--model",
+            artifact.to_str().unwrap(),
+            "--input",
+            csv.to_str().unwrap(),
+        ],
+    );
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), hostile.len(), "{stdout}");
+    for (line, raw) in lines.iter().zip(hostile) {
+        let parsed = serde_json::parse(line).unwrap_or_else(|e| panic!("not JSON ({e}): {line:?}"));
+        let want =
+            format!("Structural: field `{raw}` of numeric attribute `src_bytes` is not a number");
+        assert_eq!(
+            parsed.get("error"),
+            Some(&serde_json::Value::Str(want)),
+            "{line:?}"
+        );
+        assert_eq!(
+            parsed.get("kind"),
+            Some(&serde_json::Value::Str("structural".to_string()))
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn predict_refuses_a_corrupted_artifact() {
     let dir = temp_dir("corrupt");
     let artifact = make_artifact(&dir);
@@ -285,6 +334,14 @@ fn predict_bad_invocation_exits_2() {
     );
     let out = run("predict", &["--model", "m", "--unknown", "sometimes"]);
     assert_eq!(out.status.code(), Some(2));
+    // an unknown flag is refused before the model is touched
+    let out = run("predict", &["--model", "m", "--turbo", "on"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr_of(&out).contains("unknown argument --turbo"),
+        "{}",
+        stderr_of(&out)
+    );
 }
 
 #[test]

@@ -30,6 +30,12 @@
 //!   constrained rules are still live is skipped outright (no dispatch,
 //!   no binary search).
 //!
+//! Programs are keyed by (attribute, condition kind), so compilation is
+//! total: a rule set that tests one attribute both by equality and by
+//! threshold gets one program of each kind for it, matching the
+//! interpreter's lookup path, which evaluates `num(a)` and `cat(a)`
+//! independently.
+//!
 //! The unknown-value serving semantics ([`Condition::matches_lookup`]'s
 //! "`None` never fires") compile to: an unknown value masks the
 //! attribute's **entire dispatch table**, leaving only `base` — rules
@@ -53,33 +59,6 @@ use pnr_data::{Column, Dataset};
 /// Widest live mask (in 64-bit words) evaluated on the stack; rule sets
 /// beyond `64 × STACK_WORDS` rules fall back to a heap buffer per call.
 const STACK_WORDS: usize = 8;
-
-/// Why a rule set could not be lowered into a predicate program.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompileError {
-    /// One attribute is tested both by categorical equalities and by
-    /// numeric thresholds across the rule set. No dataset column can
-    /// satisfy both, so the rule set is malformed (the interpreter would
-    /// panic on whichever condition mismatches the column's type).
-    MixedConditionKinds {
-        /// The attribute with conflicting condition kinds.
-        attr: usize,
-    },
-}
-
-impl std::fmt::Display for CompileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompileError::MixedConditionKinds { attr } => write!(
-                f,
-                "MixedConditionKinds: attribute {attr} is tested both by \
-                 categorical equalities and by numeric thresholds"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
 
 /// A value fed to the predicate program for one attribute.
 #[derive(Debug, Clone, Copy)]
@@ -114,7 +93,7 @@ enum DispatchTable {
     },
 }
 
-/// One attribute's slice of the predicate program.
+/// One (attribute, condition kind) slice of the predicate program.
 #[derive(Debug, Clone)]
 struct AttrProgram {
     /// The attribute this program tests.
@@ -171,173 +150,162 @@ pub struct CompiledRuleSet {
     stride: usize,
     /// Rules that can match at all (contradictory conjunctions cleared).
     alive: Vec<u64>,
-    /// Per-attribute programs, most selective first (fewest `base` bits,
-    /// ties on attribute index); attributes no rule tests are absent.
+    /// Per-(attribute, kind) programs, most selective first (fewest
+    /// `base` bits, ties on attribute index); attributes no rule tests
+    /// are absent.
     programs: Vec<AttrProgram>,
 }
 
-/// Per-rule requirements on one attribute, folded from its conditions.
+/// Per-rule requirements on one program slot, folded from its
+/// conditions.
 #[derive(Debug, Clone, Copy)]
 enum Requirement {
-    /// No condition on this attribute yet.
+    /// No condition on this slot yet.
     Free,
     /// Categorical equalities pin this code.
     Pinned(u32),
     /// Fused numeric interval `(lo, hi]`.
     Interval(f64, f64),
-    /// The conjunction on this attribute is unsatisfiable.
+    /// The conjunction on this slot is unsatisfiable.
     Contradiction,
 }
 
-/// Attribute kind as witnessed by conditions across the whole rule set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AttrKind {
-    Cat,
-    Num,
+/// The program slot a condition lowers into. Programs are keyed by
+/// (attribute, condition kind): slot `2·attr` holds the attribute's
+/// categorical equalities, slot `2·attr + 1` its numeric thresholds. The
+/// lookup path asks `cat(attr)` and `num(attr)` independently, exactly as
+/// [`RuleSet::first_match_lookup`] does, so the two kinds on one
+/// attribute are two independent programs. A rule set that tests each
+/// attribute with one kind (every validated model) gets one program per
+/// attribute, in attribute order.
+fn slot(cond: &Condition) -> usize {
+    match cond {
+        Condition::CatEq { attr, .. } => 2 * attr,
+        Condition::NumLe { attr, .. }
+        | Condition::NumGt { attr, .. }
+        | Condition::NumRange { attr, .. } => 2 * attr + 1,
+    }
 }
 
 impl CompiledRuleSet {
-    /// Lowers `rules` into a predicate program. Fails only when the rule
-    /// set itself is malformed (one attribute tested as both categorical
-    /// and numeric); contradictory individual rules compile fine and
-    /// simply never match, exactly as under the interpreter.
-    pub fn compile(rules: &RuleSet) -> Result<CompiledRuleSet, CompileError> {
+    /// Lowers `rules` into a predicate program. Every rule set compiles:
+    /// contradictory individual rules simply never match, exactly as
+    /// under the interpreter.
+    pub fn compile(rules: &RuleSet) -> CompiledRuleSet {
         let n_rules = rules.len();
         let stride = n_rules.div_ceil(64).max(1);
+        let n_slots = rules
+            .rules()
+            .iter()
+            .flat_map(|rule| rule.conditions())
+            .map(|cond| slot(cond) + 1)
+            .max()
+            .unwrap_or(0);
 
-        // Pass 1: attribute kinds (and the attribute range in play).
-        let mut kinds: Vec<Option<AttrKind>> = Vec::new();
-        for rule in rules.rules() {
-            for cond in rule.conditions() {
-                let attr = cond.attr();
-                if attr >= kinds.len() {
-                    kinds.resize(attr + 1, None);
-                }
-                let kind = match cond {
-                    Condition::CatEq { .. } => AttrKind::Cat,
-                    Condition::NumLe { .. }
-                    | Condition::NumGt { .. }
-                    | Condition::NumRange { .. } => AttrKind::Num,
-                };
-                match kinds[attr] {
-                    None => kinds[attr] = Some(kind),
-                    Some(k) if k == kind => {}
-                    Some(_) => return Err(CompileError::MixedConditionKinds { attr }),
-                }
-            }
-        }
-
-        // Pass 2: fold every rule's conditions into one requirement per
-        // attribute, and collect them per attribute.
-        let n_attrs = kinds.len();
-        let mut pins: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n_attrs];
-        let mut intervals: Vec<Vec<(usize, f64, f64)>> = vec![Vec::new(); n_attrs];
-        let mut constrained: Vec<Vec<usize>> = vec![Vec::new(); n_attrs];
+        // Pass 1: fold every rule's conditions into one requirement per
+        // slot, and collect them per slot.
+        let mut pins: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n_slots];
+        let mut intervals: Vec<Vec<(usize, f64, f64)>> = vec![Vec::new(); n_slots];
+        let mut constrained: Vec<Vec<usize>> = vec![Vec::new(); n_slots];
         let mut alive = ones(n_rules, stride);
-        let mut reqs: Vec<Requirement> = vec![Requirement::Free; n_attrs];
+        let mut reqs: Vec<Requirement> = vec![Requirement::Free; n_slots];
         for (r, rule) in rules.rules().iter().enumerate() {
             let mut touched: Vec<usize> = Vec::new();
             for cond in rule.conditions() {
-                let attr = cond.attr();
-                if matches!(reqs[attr], Requirement::Free) {
-                    touched.push(attr);
+                let s = slot(cond);
+                if matches!(reqs[s], Requirement::Free) {
+                    touched.push(s);
                 }
-                reqs[attr] = fold(reqs[attr], cond);
+                reqs[s] = fold(reqs[s], cond);
             }
             let mut dead = false;
-            for &attr in &touched {
-                match reqs[attr] {
+            for &s in &touched {
+                match reqs[s] {
                     Requirement::Free => {}
                     Requirement::Pinned(code) => {
-                        pins[attr].push((r, code));
-                        constrained[attr].push(r);
+                        pins[s].push((r, code));
+                        constrained[s].push(r);
                     }
                     Requirement::Interval(lo, hi) => {
-                        intervals[attr].push((r, lo, hi));
-                        constrained[attr].push(r);
+                        intervals[s].push((r, lo, hi));
+                        constrained[s].push(r);
                     }
                     Requirement::Contradiction => {
-                        constrained[attr].push(r);
+                        constrained[s].push(r);
                         dead = true;
                     }
                 }
-                reqs[attr] = Requirement::Free;
+                reqs[s] = Requirement::Free;
             }
             if dead {
                 clear_bit(&mut alive, r);
             }
         }
 
-        // Pass 3: build one program per constrained attribute.
+        // Pass 2: build one program per constrained slot.
         let mut programs = Vec::new();
-        for attr in 0..n_attrs {
-            if constrained[attr].is_empty() {
+        for s in 0..n_slots {
+            if constrained[s].is_empty() {
                 continue;
             }
             let mut base = ones(n_rules, stride);
             let mut cmask = vec![0u64; stride];
-            for &r in &constrained[attr] {
+            for &r in &constrained[s] {
                 clear_bit(&mut base, r);
                 set_bit(&mut cmask, r);
             }
-            let table = match kinds[attr] {
-                Some(AttrKind::Cat) => {
-                    let n_codes = pins[attr]
-                        .iter()
-                        .map(|&(_, code)| code as usize + 1)
-                        .max()
-                        .unwrap_or(0);
-                    let mut masks = vec![0u64; n_codes * stride];
-                    for &(r, code) in &pins[attr] {
-                        set_bit(&mut masks[code as usize * stride..], r);
-                    }
-                    DispatchTable::Cat { masks, n_codes }
+            let table = if s % 2 == 0 {
+                let n_codes = pins[s]
+                    .iter()
+                    .map(|&(_, code)| code as usize + 1)
+                    .max()
+                    .unwrap_or(0);
+                let mut masks = vec![0u64; n_codes * stride];
+                for &(r, code) in &pins[s] {
+                    set_bit(&mut masks[code as usize * stride..], r);
                 }
-                Some(AttrKind::Num) => {
-                    let mut breakpoints: Vec<f64> = Vec::new();
-                    for &(_, lo, hi) in &intervals[attr] {
-                        if lo.is_finite() {
-                            breakpoints.push(lo);
-                        }
-                        if hi.is_finite() {
-                            breakpoints.push(hi);
-                        }
+                DispatchTable::Cat { masks, n_codes }
+            } else {
+                let mut breakpoints: Vec<f64> = Vec::new();
+                for &(_, lo, hi) in &intervals[s] {
+                    if lo.is_finite() {
+                        breakpoints.push(lo);
                     }
-                    breakpoints.sort_by(f64::total_cmp);
-                    breakpoints.dedup();
-                    let n_segments = breakpoints.len() + 1;
-                    let mut masks = vec![0u64; n_segments * stride];
-                    for &(r, lo, hi) in &intervals[attr] {
-                        if lo.is_nan() || hi.is_nan() || lo >= hi {
-                            // Empty interval (includes NaN endpoints):
-                            // the rule can never match.
-                            clear_bit(&mut alive, r);
-                            continue;
-                        }
-                        // Segments whose left edge is ≥ lo …
-                        let first = if lo.is_finite() {
-                            breakpoints.partition_point(|b| *b < lo) + 1
-                        } else {
-                            0
-                        };
-                        // … and whose right edge is ≤ hi.
-                        let last = if hi.is_finite() {
-                            breakpoints.partition_point(|b| *b <= hi)
-                        } else {
-                            n_segments
-                        };
-                        for s in first..last.max(first) {
-                            set_bit(&mut masks[s * stride..], r);
-                        }
+                    if hi.is_finite() {
+                        breakpoints.push(hi);
                     }
-                    DispatchTable::Num { breakpoints, masks }
                 }
-                // Unreachable: `constrained[attr]` is non-empty only when
-                // a condition fixed the kind in pass 1.
-                None => continue,
+                breakpoints.sort_by(f64::total_cmp);
+                breakpoints.dedup();
+                let n_segments = breakpoints.len() + 1;
+                let mut masks = vec![0u64; n_segments * stride];
+                for &(r, lo, hi) in &intervals[s] {
+                    if lo.is_nan() || hi.is_nan() || lo >= hi {
+                        // Empty interval (includes NaN endpoints):
+                        // the rule can never match.
+                        clear_bit(&mut alive, r);
+                        continue;
+                    }
+                    // Segments whose left edge is ≥ lo …
+                    let first = if lo.is_finite() {
+                        breakpoints.partition_point(|b| *b < lo) + 1
+                    } else {
+                        0
+                    };
+                    // … and whose right edge is ≤ hi.
+                    let last = if hi.is_finite() {
+                        breakpoints.partition_point(|b| *b <= hi)
+                    } else {
+                        n_segments
+                    };
+                    for seg in first..last.max(first) {
+                        set_bit(&mut masks[seg * stride..], r);
+                    }
+                }
+                DispatchTable::Num { breakpoints, masks }
             };
             programs.push(AttrProgram {
-                attr,
+                attr: s / 2,
                 base,
                 constrained: cmask,
                 table,
@@ -348,7 +316,8 @@ impl CompiledRuleSet {
         // of value), so the live mask empties — and evaluation
         // short-circuits — as early as possible. The AND steps commute,
         // so ordering cannot change the result; ties break on attribute
-        // index for determinism.
+        // index (then categorical before numeric, by the stable sort)
+        // for determinism.
         programs.sort_by_key(|p| {
             (
                 p.base
@@ -359,12 +328,12 @@ impl CompiledRuleSet {
             )
         });
 
-        Ok(CompiledRuleSet {
+        CompiledRuleSet {
             n_rules,
             stride,
             alive,
             programs,
-        })
+        }
     }
 
     /// Number of rules in the compiled set.
@@ -372,7 +341,8 @@ impl CompiledRuleSet {
         self.n_rules
     }
 
-    /// Number of attribute programs (attributes any rule tests).
+    /// Number of attribute programs (one per attribute and condition kind
+    /// any rule tests).
     pub fn n_programs(&self) -> usize {
         self.programs.len()
     }
@@ -780,7 +750,7 @@ mod tests {
     }
 
     fn assert_identical(rules: &RuleSet, data: &Dataset) {
-        let compiled = CompiledRuleSet::compile(rules).expect("compiles");
+        let compiled = CompiledRuleSet::compile(rules);
         let matcher = compiled.matcher(data);
         for row in 0..data.n_rows() {
             let want = rules.first_match(data, row);
@@ -807,7 +777,7 @@ mod tests {
     #[test]
     fn empty_ruleset_matches_nothing() {
         let d = data();
-        let compiled = CompiledRuleSet::compile(&RuleSet::new()).expect("compiles");
+        let compiled = CompiledRuleSet::compile(&RuleSet::new());
         for row in 0..d.n_rows() {
             assert_eq!(compiled.first_match(&d, row), None);
         }
@@ -817,7 +787,7 @@ mod tests {
     fn empty_rule_matches_everything_first() {
         let d = data();
         let rules = RuleSet::from_rules(vec![Rule::empty(), Rule::new(vec![le(10.0)])]);
-        let compiled = CompiledRuleSet::compile(&rules).expect("compiles");
+        let compiled = CompiledRuleSet::compile(&rules);
         for row in 0..d.n_rows() {
             assert_eq!(compiled.first_match(&d, row), Some(0));
         }
@@ -837,7 +807,7 @@ mod tests {
             Rule::new(vec![le(3.0)]),
         ]);
         assert_identical(&rules, &d);
-        let compiled = CompiledRuleSet::compile(&rules).expect("compiles");
+        let compiled = CompiledRuleSet::compile(&rules);
         for row in 0..d.n_rows() {
             assert!(!matches!(
                 compiled.first_match(&d, row),
@@ -877,7 +847,7 @@ mod tests {
             Rule::new(vec![le(10.0)]),
             Rule::empty(),
         ]);
-        let compiled = CompiledRuleSet::compile(&rules).expect("compiles");
+        let compiled = CompiledRuleSet::compile(&rules);
         // categorical unknown: rule 0 cannot fire, rule 1 can
         assert_eq!(
             compiled.first_match_lookup(|_| Some(1.0), |_| None),
@@ -893,20 +863,44 @@ mod tests {
     #[test]
     fn codes_beyond_the_dispatch_table_satisfy_no_equality() {
         let rules = RuleSet::from_rules(vec![Rule::new(vec![cat(0)]), Rule::empty()]);
-        let compiled = CompiledRuleSet::compile(&rules).expect("compiles");
+        let compiled = CompiledRuleSet::compile(&rules);
         assert_eq!(compiled.first_match_lookup(|_| None, |_| Some(7)), Some(1));
         assert_eq!(rules.first_match_lookup(|_| None, |_| Some(7)), Some(1));
     }
 
     #[test]
-    fn mixed_kinds_on_one_attribute_refuse_to_compile() {
+    fn mixed_kinds_on_one_attribute_compile_and_match_the_lookup_interpreter() {
+        // Attribute 0 is tested by equality and by threshold, across rules
+        // and within rule 0. The interpreter's lookup path answers
+        // `num(0)` and `cat(0)` independently; so must the programs.
+        let cat0 = |value| Condition::CatEq { attr: 0, value };
         let rules = RuleSet::from_rules(vec![
-            Rule::new(vec![Condition::CatEq { attr: 0, value: 0 }]),
+            Rule::new(vec![cat0(1), le(2.0)]),
+            Rule::new(vec![cat0(0)]),
+            Rule::new(vec![gt(3.0), cat(2)]),
             Rule::new(vec![le(1.0)]),
+            Rule::empty(),
         ]);
+        let compiled = CompiledRuleSet::compile(&rules);
+        assert_eq!(compiled.n_programs(), 3);
+        let xs = [None, Some(0.5), Some(2.0), Some(4.0)];
+        let codes = [None, Some(0), Some(1), Some(2), Some(7)];
+        for x in xs {
+            for c0 in codes {
+                for c1 in codes {
+                    let num = |a: usize| if a == 0 { x } else { None };
+                    let cat = |a: usize| if a == 0 { c0 } else { c1 };
+                    assert_eq!(
+                        compiled.first_match_lookup(num, cat),
+                        rules.first_match_lookup(num, cat),
+                        "x {x:?} cat0 {c0:?} cat1 {c1:?}"
+                    );
+                }
+            }
+        }
         assert_eq!(
-            CompiledRuleSet::compile(&rules).err(),
-            Some(CompileError::MixedConditionKinds { attr: 0 })
+            compiled.first_match_lookup(|_| Some(1.0), |_| Some(1)),
+            Some(0)
         );
     }
 
@@ -921,7 +915,7 @@ mod tests {
             .collect();
         rules.push(Rule::empty());
         let rules = RuleSet::from_rules(rules);
-        let compiled = CompiledRuleSet::compile(&rules).expect("compiles");
+        let compiled = CompiledRuleSet::compile(&rules);
         assert_eq!(compiled.stride, 2);
         assert_identical(&rules, &d);
         for row in 0..d.n_rows() {

@@ -48,7 +48,7 @@ fn rows() -> impl Strategy<Value = Vec<(f64, f64, u8)>> {
 }
 
 /// Random atomic condition. Attribute kinds are fixed (0 and 1 numeric,
-/// 2 categorical) so every generated ruleset compiles. `CatEq` may pin
+/// 2 categorical) so every generated ruleset evaluates on the dense path. `CatEq` may pin
 /// code 3, which no row carries, and `NumRange` may be empty (`lo >= hi`)
 /// or NaN-free contradictory when conjoined — all shapes the compiler must
 /// fold identically to the interpreter.
@@ -70,9 +70,26 @@ fn condition() -> impl Strategy<Value = Condition> {
     })
 }
 
-fn ruleset() -> impl Strategy<Value = RuleSet> {
-    prop::collection::vec(prop::collection::vec(condition(), 0..4), 0..8)
+/// Random atomic condition of any kind on any attribute, for the lookup
+/// path: one attribute can be tested both by equality and by threshold,
+/// across rules and within one rule. The lookup path asks `num(a)` and
+/// `cat(a)` independently, so every such rule set is well-defined there.
+fn any_kind_condition() -> impl Strategy<Value = Condition> {
+    (condition(), 0usize..3).prop_map(|(cond, attr)| match cond {
+        Condition::NumLe { value, .. } => Condition::NumLe { attr, value },
+        Condition::NumGt { value, .. } => Condition::NumGt { attr, value },
+        Condition::NumRange { lo, hi, .. } => Condition::NumRange { attr, lo, hi },
+        Condition::CatEq { value, .. } => Condition::CatEq { attr, value },
+    })
+}
+
+fn ruleset_of(condition: impl Strategy<Value = Condition>) -> impl Strategy<Value = RuleSet> {
+    prop::collection::vec(prop::collection::vec(condition, 0..4), 0..8)
         .prop_map(|rules| RuleSet::from_rules(rules.into_iter().map(Rule::new).collect()))
+}
+
+fn ruleset() -> impl Strategy<Value = RuleSet> {
+    ruleset_of(condition())
 }
 
 proptest! {
@@ -81,7 +98,7 @@ proptest! {
     #[test]
     fn dense_first_match_is_bit_identical(data_rows in rows(), rules in ruleset()) {
         let d = dataset(&data_rows);
-        let compiled = CompiledRuleSet::compile(&rules).expect("fixed attr kinds always compile");
+        let compiled = CompiledRuleSet::compile(&rules);
         for row in 0..d.n_rows() {
             prop_assert_eq!(
                 compiled.first_match(&d, row),
@@ -94,17 +111,29 @@ proptest! {
     #[test]
     fn lookup_first_match_is_bit_identical_under_unknowns(
         data_rows in rows(),
-        rules in ruleset(),
-        mask in prop::collection::vec(prop::bool::ANY, 3),
+        rules in ruleset_of(any_kind_condition()),
+        mask in prop::collection::vec(prop::bool::ANY, 6),
     ) {
-        // `mask[attr] == true` hides that attribute — the serving path's
-        // unknown-value outcome, which must suppress the attribute's whole
-        // dispatch table, never fire it.
+        // `mask[attr] == true` hides that attribute's numeric side and
+        // `mask[3 + attr]` its categorical side — the serving path's
+        // unknown-value outcome, which must suppress the matching dispatch
+        // table, never fire it. Each attribute answers both lookups: the
+        // numeric columns as a code too, the categorical one as a number.
         let d = dataset(&data_rows);
-        let compiled = CompiledRuleSet::compile(&rules).expect("fixed attr kinds always compile");
+        let compiled = CompiledRuleSet::compile(&rules);
         for row in 0..d.n_rows() {
-            let num = |attr: usize| (!mask[attr]).then(|| d.num(attr, row));
-            let cat = |attr: usize| (!mask[attr]).then(|| d.cat(attr, row));
+            let num = |attr: usize| {
+                (!mask[attr]).then(|| match attr {
+                    2 => f64::from(d.cat(attr, row)),
+                    _ => d.num(attr, row),
+                })
+            };
+            let cat = |attr: usize| {
+                (!mask[3 + attr]).then(|| match attr {
+                    2 => d.cat(attr, row),
+                    _ => d.num(attr, row).abs() as u32 % 4,
+                })
+            };
             prop_assert_eq!(
                 compiled.first_match_lookup(num, cat),
                 rules.first_match_lookup(num, cat),
@@ -129,7 +158,7 @@ proptest! {
             let i = dup_at % rules.len();
             with_dup.push(rules.rules()[i].clone());
         }
-        let compiled = CompiledRuleSet::compile(&with_dup).expect("fixed attr kinds always compile");
+        let compiled = CompiledRuleSet::compile(&with_dup);
         for row in 0..d.n_rows() {
             let brute = with_dup
                 .rules()
@@ -146,7 +175,7 @@ proptest! {
     #[test]
     fn batch_matcher_agrees_with_row_at_a_time(data_rows in rows(), rules in ruleset()) {
         let d = dataset(&data_rows);
-        let compiled = CompiledRuleSet::compile(&rules).expect("fixed attr kinds always compile");
+        let compiled = CompiledRuleSet::compile(&rules);
         let matcher = compiled.matcher(&d);
         for row in 0..d.n_rows() {
             prop_assert_eq!(matcher.first_match(row), rules.first_match(&d, row));

@@ -696,6 +696,8 @@ fn serving_binaries_pin_the_exit_code_convention() {
         &["--shed", "sometimes"][..],
         &["--model"][..],
         &["--workers", "0"][..],
+        // an unknown flag is refused before the model is touched
+        &["--model", "/nonexistent/x.artifact", "--turbo", "on"][..],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_pnr-serve"))
             .args(args)
@@ -736,6 +738,76 @@ fn serving_binaries_pin_the_exit_code_convention() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
+}
+
+/// The KDD header plus `more` columns, as a `hello` request line.
+fn hello_line(more: &[&str]) -> String {
+    let columns: Vec<String> = pnr_kddsim::ATTR_NAMES
+        .iter()
+        .chain(more)
+        .map(|c| format!("\"{c}\""))
+        .collect();
+    format!("{{\"cmd\":\"hello\",\"columns\":[{}]}}", columns.join(","))
+}
+
+/// Pins the ok `hello` reply: the envelope plus exactly `epoch`,
+/// `missing` and `extra`.
+#[test]
+fn hello_reply_schema_is_pinned() {
+    let dir = temp_dir("helloschema");
+    let model = make_artifact(&dir, "m.artifact", 23);
+    let daemon = Daemon::start(&["--model", model.to_str().unwrap()]);
+    let mut client = Client::connect(&daemon.addr);
+
+    let reply = client.request(&hello_line(&["class"]));
+    assert!(is_ok(&reply), "{reply:?}");
+    let keys: Vec<&str> = match &reply {
+        Content::Map(entries) => entries.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("expected a map, got {other:?}"),
+    };
+    assert_eq!(
+        keys,
+        ["ok", "reply", "epoch", "missing", "extra"],
+        "hello reply schema changed"
+    );
+    assert_eq!(jstr(&reply, "reply"), "hello");
+    assert_eq!(ju64(&reply, "epoch"), 1);
+    assert_eq!(ju64(&reply, "missing"), 0);
+    assert_eq!(ju64(&reply, "extra"), 1);
+
+    client.send("{\"cmd\":\"shutdown\"}");
+    let (code, _) = daemon.wait();
+    assert_eq!(code, Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A header naming a stored column twice cannot be reconciled: the
+/// daemon refuses it as a schema mismatch, and the connection can still
+/// declare a proper header afterwards.
+#[test]
+fn a_hello_naming_a_stored_column_twice_is_a_schema_mismatch() {
+    let dir = temp_dir("hellodup");
+    let model = make_artifact(&dir, "m.artifact", 23);
+    let daemon = Daemon::start(&["--model", model.to_str().unwrap()]);
+    let mut client = Client::connect(&daemon.addr);
+
+    let twice = pnr_kddsim::ATTR_NAMES[0];
+    let reply = client.request(&hello_line(&[twice]));
+    assert!(!is_ok(&reply), "{reply:?}");
+    assert_eq!(jstr(&reply, "error"), "schema_mismatch");
+    assert!(
+        jstr(&reply, "detail").contains(&format!("`{twice}`")),
+        "{reply:?}"
+    );
+    // a duplicated column the model does not store stays ignored
+    let reply = client.request(&hello_line(&["class", "class"]));
+    assert!(is_ok(&reply), "{reply:?}");
+    assert_eq!(ju64(&reply, "extra"), 2);
+
+    client.send("{\"cmd\":\"shutdown\"}");
+    let (code, _) = daemon.wait();
+    assert_eq!(code, Some(0));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Pins the stats NDJSON schema the sentinel builds on: exact top-level
